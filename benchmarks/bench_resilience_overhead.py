@@ -1,20 +1,27 @@
-"""No-fault overhead of the resilient execution layer.
+"""No-fault overhead of the engine's component executor.
 
-The fault-tolerant dispatcher (``ResiliencePolicy`` →
-``run_components_resilient``) wraps every component solve in a chain
-state machine.  Its contract is that this costs (almost) nothing when
-nothing goes wrong: this bench solves the engine-parallel workload
-(the same shape as ``bench_engine_parallel.py``) plain and under a
-no-fault policy and asserts
+Every engine run dispatches its components through one executor
+(``repro.engine.resilience.run_components``), which walks each
+component through a fallback-chain state machine.  Its contract is
+that this costs (almost) nothing when nothing goes wrong: this bench
+preprocesses the engine-parallel workload (the same shape as
+``bench_engine_parallel.py``) once, then times
 
-* bit-identical solutions (same classifiers, same cost), and
-* wrapper overhead **< 2 %** on the median of paired per-round time
+* a direct in-process loop of the solver strategy's
+  ``solve_component`` calls (no executor at all), against
+* the executor's no-fault run of the same tasks under the plain
+  policy a run gets when it declares none,
+
+and asserts
+
+* bit-identical per-component answers, and
+* executor overhead **< 2 %** on the median of paired per-round time
   ratios (variants interleave within each round so machine-load drift
   cancels inside each pair; the median discards scheduler hiccups).
 
-The run with per-component cover validation (``validate_covers=True``,
-the policy default) is also timed and reported — validation is real
-work, so it is excluded from the 2 % assertion.
+The executor under ``ResiliencePolicy()`` (whose per-component cover
+validation is real work) is also timed and reported, outside the 2 %
+assertion.
 
 Standalone usage (mirrors ``bench_bitspace.py`` / BENCH_core.json)::
 
@@ -38,14 +45,15 @@ sys.path.insert(
 )
 
 from repro.core import MC3Instance, TableCost  # noqa: E402
-from repro.core.kernels.registry import resolve_backend_name  # noqa: E402
+from repro.core.kernels.registry import resolve_backend_name, use_backend  # noqa: E402
 from repro.core.properties import iter_nonempty_subsets  # noqa: E402
-from repro.engine import ResiliencePolicy  # noqa: E402
+from repro.engine import ResiliencePolicy, run_components  # noqa: E402
+from repro.preprocess import preprocess  # noqa: E402
 from repro.solvers import make_solver  # noqa: E402
 
 BLOCKS = 24
 QUERIES_PER_BLOCK = 8
-REPEATS = 25
+REPEATS = 101
 OVERHEAD_LIMIT = 0.02
 
 
@@ -72,31 +80,33 @@ def many_component_instance(
     return MC3Instance(queries, TableCost(costs), name="bench-resilience")
 
 
-def timed_rounds(factories, instance, repeats: int):
-    """Per-factory (per-round seconds, last result), measured round-robin.
+def timed_rounds(runs, repeats: int):
+    """Per-variant (per-round seconds, last answer), measured round-robin.
 
     Interleaving the variants inside each round means load/thermal
-    drift hits all of them equally instead of biasing whichever ran
-    last, which matters for a ±2 % assertion on ~100 ms solves.
+    drift hits all of them equally, and rotating which variant opens
+    each round (right after the collection) keeps position from
+    biasing any one of them, which matters for a ±2 % assertion on
+    ~60 ms runs.
     """
-    rounds = [[] for _ in factories]
-    results = [None] * len(factories)
-    for factory in factories:  # warmup: caches, lazy imports, JIT-ish paths
-        factory().solve(instance)
+    rounds = [[] for _ in runs]
+    answers = [None] * len(runs)
+    for run in runs:  # warmup: caches, lazy imports, JIT-ish paths
+        run()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(repeats):
+        for round_number in range(repeats):
             gc.collect()
-            for i, factory in enumerate(factories):
-                solver = factory()
+            for step in range(len(runs)):
+                i = (round_number + step) % len(runs)
                 started = time.perf_counter()
-                results[i] = solver.solve(instance)
+                answers[i] = runs[i]()
                 rounds[i].append(time.perf_counter() - started)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return list(zip(rounds, results))
+    return list(zip(rounds, answers))
 
 
 def median(values):
@@ -120,57 +130,71 @@ def paired_overhead(base_rounds, variant_rounds) -> float:
 
 def run_all(blocks: int = BLOCKS, repeats: int = REPEATS) -> Dict[str, object]:
     instance = many_component_instance(blocks=blocks)
+    components = preprocess(instance).components
+    strategy = make_solver("mc3-general").strategy()
+    backend = resolve_backend_name(None)
+    tasks = [
+        (index, strategy, component, None, backend)
+        for index, component in enumerate(components)
+    ]
 
-    measured = timed_rounds(
-        [
-            lambda: make_solver("mc3-general", jobs=1),
-            lambda: make_solver(
-                "mc3-general",
-                jobs=1,
-                resilience=ResiliencePolicy(validate_covers=False),
-            ),
-            lambda: make_solver(
-                "mc3-general", jobs=1, resilience=ResiliencePolicy()
-            ),
-        ],
-        instance,
-        repeats,
+    def direct():
+        with use_backend(backend):
+            return [
+                frozenset(strategy.solve_component(component)[0])
+                for component in components
+            ]
+
+    def scheduled(policy=None):
+        outcomes, report = run_components(tasks, jobs=1, policy=policy)
+        # ...and a clean run must not be reported as failing.
+        assert report.clean
+        return [outcome.classifiers for outcome in outcomes]
+
+    # Each executor variant is paired with its own direct-loop rounds,
+    # so the two members of every pair always run back to back.
+    (direct_r, direct_a), (plain_r, plain_a) = timed_rounds(
+        [direct, scheduled], repeats
     )
-    (plain_r, plain), (wrapper_r, wrapped), (validated_r, validated) = measured
-    plain_s, wrapper_s, validated_s = min(plain_r), min(wrapper_r), min(validated_r)
+    (base_r, _), (validated_r, validated_a) = timed_rounds(
+        [direct, lambda: scheduled(ResiliencePolicy())], repeats
+    )
+    direct_s, plain_s, validated_s = min(direct_r), min(plain_r), min(validated_r)
 
-    # The wrapper must not change the answer...
-    assert wrapped.solution.classifiers == plain.solution.classifiers
-    assert validated.solution.classifiers == plain.solution.classifiers
-    assert wrapped.cost == plain.cost == validated.cost
-    # ...and a clean run must not be reported as partial.
-    assert wrapped.details["engine"]["resilience"]["failures"] == 0
+    # The executor must not change any component's answer.
+    assert plain_a == direct_a
+    assert validated_a == direct_a
 
-    overhead = paired_overhead(plain_r, wrapper_r)
-    validated_overhead = paired_overhead(plain_r, validated_r)
-    print(f"plain engine        : {plain_s:.4f}s (min of {repeats})")
-    print(f"resilient, no checks: {wrapper_s:.4f}s ({overhead:+.2%} paired median)")
-    print(f"resilient, validated: {validated_s:.4f}s ({validated_overhead:+.2%} paired median)")
+    overhead = paired_overhead(direct_r, plain_r)
+    validated_overhead = paired_overhead(base_r, validated_r)
+    print(f"components          : {len(components)}")
+    print(f"direct loop         : {direct_s:.4f}s (min of {repeats})")
+    print(f"executor, plain     : {plain_s:.4f}s ({overhead:+.2%} paired median)")
+    print(
+        f"executor, validated : {validated_s:.4f}s "
+        f"({validated_overhead:+.2%} paired median)"
+    )
 
     assert overhead < OVERHEAD_LIMIT, (
-        f"no-fault wrapper overhead {overhead:+.2%} exceeds "
+        f"no-fault executor overhead {overhead:+.2%} exceeds "
         f"{OVERHEAD_LIMIT:.0%} on the engine-parallel workload"
     )
     return {
         "benchmark": "resilience_overhead",
-        "schema": 2,
+        "schema": 3,
         "python": sys.version.split()[0],
         "mode": "smoke" if blocks < BLOCKS else "full",
         "repeats": repeats,
-        "default_backend": resolve_backend_name(None),
+        "default_backend": backend,
         "workload": {
             "blocks": blocks,
+            "components": len(components),
             "queries_per_block": QUERIES_PER_BLOCK,
             "repeats": repeats,
         },
-        "plain_seconds": plain_s,
-        "resilient_seconds": wrapper_s,
-        "resilient_validated_seconds": validated_s,
+        "direct_seconds": direct_s,
+        "executor_seconds": plain_s,
+        "executor_validated_seconds": validated_s,
         "overhead_fraction": overhead,
         "validated_overhead_fraction": validated_overhead,
         "limit_fraction": OVERHEAD_LIMIT,
@@ -185,7 +209,7 @@ def main(argv=None) -> int:
     )
     options = parser.parse_args(argv)
     if options.smoke:
-        results = run_all(blocks=12, repeats=25)
+        results = run_all(blocks=12)
     else:
         results = run_all()
     if options.save:

@@ -163,7 +163,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="cache size budget in megabytes (default 64); least-recently"
         "-used (memory) / oldest (disk) entries are evicted beyond it",
     )
-    from repro.engine.resilience import FALLBACK_RUNGS, ON_ERROR_POLICIES
+    from repro.engine.resilience import ON_ERROR_POLICIES, STRATEGIES
 
     parser.add_argument(
         "--timeout",
@@ -194,11 +194,11 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fallback",
         nargs="*",
-        choices=sorted(FALLBACK_RUNGS),
+        choices=sorted(STRATEGIES),
         default=None,
         metavar="RUNG",
         help="fallback rungs tried in order after the primary solver "
-        f"fails (choices: {', '.join(sorted(FALLBACK_RUNGS))})",
+        f"fails (choices: {', '.join(sorted(STRATEGIES))})",
     )
 
 

@@ -547,18 +547,15 @@ def patch_reference_kernels():
     partial_cover = importlib.import_module("repro.extensions.partial_cover")
     pipeline = importlib.import_module("repro.preprocess.pipeline")
     setcover = importlib.import_module("repro.setcover")
+    strategies = importlib.import_module("repro.engine.strategies")
     baselines = importlib.import_module("repro.solvers.baselines")
-    exact = importlib.import_module("repro.solvers.exact")
-    general = importlib.import_module("repro.solvers.general")
     refined = importlib.import_module("repro.solvers.refined")
-    robust = importlib.import_module("repro.solvers.robust")
 
     targets = [
         (pipeline, "DominatedPruner", ReferenceDominatedPruner),
-        (general, "mc3_to_wsc", reference_mc3_to_wsc),
-        (general, "greedy_wsc", reference_greedy_wsc),
-        (exact, "mc3_to_wsc", reference_mc3_to_wsc),
-        (robust, "mc3_to_wsc", reference_mc3_to_wsc),
+        (strategies, "mc3_to_wsc", reference_mc3_to_wsc),
+        (strategies, "greedy_wsc", reference_greedy_wsc),
+        (strategies, "bucket_greedy_wsc", reference_bucket_greedy_wsc),
         (multivalued, "mc3_to_wsc", reference_mc3_to_wsc),
         (setcover, "greedy_wsc", reference_greedy_wsc),
         (setcover, "bucket_greedy_wsc", reference_bucket_greedy_wsc),

@@ -80,7 +80,7 @@ class ComponentSolverOverrideRule(ProjectRule):
         "deterministic merge (PR 1).  A subclass overriding _solve "
         "bypasses the engine, so its outputs are no longer covered by "
         "the sequential-vs-parallel equivalence guarantee.  Implement "
-        "solve_component (plus the routes/aggregate_details hooks) "
+        "strategy() (plus the routes/aggregate_details hooks) "
         "instead; pipelines with a genuinely different shape subclass "
         "Solver directly."
     )
@@ -107,7 +107,7 @@ class ComponentSolverOverrideRule(ProjectRule):
                             statement,
                             f"{node.name} subclasses ComponentSolver but "
                             "overrides _solve, bypassing the shared engine; "
-                            "implement solve_component instead",
+                            "implement strategy() instead",
                         )
 
 

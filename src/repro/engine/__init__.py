@@ -1,14 +1,15 @@
 """The shared component-solving engine.
 
 Owns the solve pipeline every MC³ solver shares — preprocessing,
-component scheduling, per-component dispatch (sequential or process
-pool), deterministic merging, and per-stage telemetry — so solvers
-implement only the narrow ``solve_component`` contract.  See
+component scheduling, dispatch through one executor (in process or
+over a process pool), deterministic merging, and per-stage telemetry —
+so solvers contribute only a per-component strategy.  See
 :mod:`repro.engine.engine` for the pipeline,
+:mod:`repro.engine.strategies` for the named component strategies,
 :mod:`repro.engine.routing` for engine-level rules like the exact
-k ≤ 2 dispatch, and :mod:`repro.engine.resilience` for the
-fault-tolerant execution layer (budgets, fallback chains, worker-crash
-recovery, partial solutions).
+k ≤ 2 dispatch, and :mod:`repro.engine.resilience` for the executor
+and its policies (budgets, fallback chains, worker-crash recovery,
+partial solutions).
 """
 
 from repro.engine.cache import (
@@ -23,20 +24,19 @@ from repro.engine.cache import (
 )
 from repro.engine.component import ComponentOutcome, SolvesComponents
 from repro.engine.engine import SolveEngine
-from repro.engine.executors import pool_context, run_components
 from repro.engine.resilience import (
-    FALLBACK_RUNGS,
     ComponentFailure,
     PartialSolution,
     ResiliencePolicy,
     ResilienceReport,
-    resolve_rung,
-    run_components_resilient,
+    pool_context,
+    run_components,
 )
-from repro.engine.routing import (
-    EXACT_K2_ROUTE,
-    Route,
-    exact_k2_route,
+from repro.engine.routing import EXACT_K2_ROUTE, Route, exact_k2_route
+from repro.engine.strategies import (
+    STRATEGIES,
+    ComponentStrategy,
+    resolve_rung,
     solve_component_k2,
 )
 from repro.engine.telemetry import EngineTelemetry, size_histogram
@@ -45,15 +45,16 @@ __all__ = [
     "CacheConfig",
     "ComponentFailure",
     "ComponentOutcome",
+    "ComponentStrategy",
     "DiskSolutionCache",
     "EXACT_K2_ROUTE",
     "EngineTelemetry",
-    "FALLBACK_RUNGS",
     "MemorySolutionCache",
     "PartialSolution",
     "ResiliencePolicy",
     "ResilienceReport",
     "Route",
+    "STRATEGIES",
     "SolutionCache",
     "SolveEngine",
     "SolvesComponents",
@@ -64,7 +65,6 @@ __all__ = [
     "resolve_cache",
     "resolve_rung",
     "run_components",
-    "run_components_resilient",
     "set_default_cache",
     "size_histogram",
     "solve_component_k2",

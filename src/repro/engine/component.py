@@ -11,8 +11,8 @@ Because preprocessing (Algorithm 1, step 2) guarantees components share
 no properties, composing per-component outputs is lossless (Observation
 3.2) — the engine owns the composition, the solver owns only the single
 component.  The contract is deliberately picklable-friendly: in
-process-pool mode the engine ships ``(solver, component)`` pairs to
-worker processes, so component solvers must not hold open resources.
+process-pool mode the engine ships ``(strategy, component)`` pairs to
+worker processes, so component strategies must not hold open resources.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ class ComponentOutcome:
     routing rule that handled the component, or ``None`` when the
     default component solver did.
 
-    Under a resilience policy (see :mod:`repro.engine.resilience`)
-    ``rung`` names the fallback-chain rung that finally produced the
-    answer (``"degraded"``/``"skipped"`` for the on_error outcomes) and
-    ``attempts`` counts every attempt spent, including failed ones.
-    Plain runs leave ``rung`` as ``None`` and ``attempts`` at 1.
+    ``rung`` names the strategy that produced the answer: the solver's
+    or route's own, a fallback rung (see :mod:`repro.engine.resilience`),
+    or ``"degraded"``/``"skipped"`` for the on_error outcomes; cache hits
+    carry the primary strategy's name.  ``attempts`` counts every attempt
+    spent, including failed ones.
 
     ``backend`` is the resolved kernel-backend name the component was
     solved under (``None`` for callers that bypass the engine's

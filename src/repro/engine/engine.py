@@ -6,10 +6,11 @@ composing per-component answers):
 
 1. **preprocess** — Algorithm 1 forces/removes classifiers and splits
    the residual load into property-disjoint components;
-2. **schedule** — assign each component to the default component solver
-   or to the first matching :class:`~repro.engine.routing.Route`;
-3. **dispatch** — solve components sequentially or across a process
-   pool (``jobs``), Observation 3.2 guaranteeing independence;
+2. **schedule** — assign each component the solver's strategy or the
+   strategy of the first matching :class:`~repro.engine.routing.Route`;
+3. **dispatch** — solve components through the one executor,
+   :func:`~repro.engine.resilience.run_components`, in process or across
+   a process pool (``jobs``), Observation 3.2 guaranteeing independence;
 4. **merge** — union the per-component selections in deterministic
    component order, so ``jobs=N`` output is bit-identical to ``jobs=1``;
 5. **finalize** — combine with the forced classifiers and price against
@@ -17,8 +18,9 @@ composing per-component answers):
 6. **telemetry** — per-stage timings, per-component solve times, and a
    component-size histogram under ``details["engine"]``.
 
-Solvers plug in through the narrow
-:class:`~repro.engine.component.SolvesComponents` contract plus an
+Solvers plug in through a picklable component strategy (see
+:mod:`repro.engine.strategies`) — or any object satisfying the narrow
+:class:`~repro.engine.component.SolvesComponents` contract — plus an
 optional ``aggregate_details(outcomes)`` hook for solver-specific
 details (WSC arm wins, total flow value, …).  Verification stays where
 it always was — :meth:`repro.solvers.base.Solver.solve` runs the
@@ -43,11 +45,12 @@ from repro.engine.cache import (
     resolve_cache,
 )
 from repro.engine.component import ComponentOutcome, SolvesComponents
-from repro.engine.executors import ComponentTask, run_components
 from repro.engine.resilience import (
+    PLAIN_POLICY,
+    ComponentTask,
     PartialSolution,
     ResiliencePolicy,
-    run_components_resilient,
+    run_components,
 )
 from repro.engine.routing import Route
 from repro.engine.telemetry import EngineTelemetry
@@ -82,10 +85,11 @@ class SolveEngine:
         component solver (see :func:`repro.engine.routing.exact_k2_route`).
     resilience:
         Optional :class:`~repro.engine.resilience.ResiliencePolicy`.
-        ``None`` (the default) keeps the zero-overhead plain dispatch
-        path; a policy activates per-component budgets, fallback
-        chains, worker-crash recovery, and the ``on_error`` behavior —
-        runs that degraded or skipped components return a
+        ``None`` (the default) is
+        :data:`~repro.engine.resilience.PLAIN_POLICY`: a failing
+        component raises its original exception.  A policy activates
+        per-component budgets, fallback chains, and the ``on_error``
+        behavior — runs that degraded or skipped components return a
         :class:`~repro.engine.resilience.PartialSolution`.
     backend:
         Kernel-backend choice for the mask kernels (a
@@ -119,7 +123,7 @@ class SolveEngine:
         self.preprocess_steps = tuple(preprocess_steps)
         self.jobs = max(1, int(jobs))
         self.routes = tuple(routes)
-        self.resilience = resilience
+        self.resilience = PLAIN_POLICY if resilience is None else resilience
         self.backend = backend
         self.cache = cache
 
@@ -132,7 +136,9 @@ class SolveEngine:
         backend_name = resolve_backend_name(self.backend)
         cache = resolve_cache(self.cache)
         prep = preprocess(instance, steps=self.preprocess_steps)
-        tasks = self._schedule(prep.components, component_solver, backend_name)
+        tasks, tokens = self._schedule(
+            prep.components, component_solver, backend_name
+        )
 
         mode = "process-pool" if self.jobs > 1 and len(tasks) >= 2 else "sequential"
         telemetry = EngineTelemetry(jobs=self.jobs, mode=mode, backend=backend_name)
@@ -142,10 +148,7 @@ class SolveEngine:
         # would skip the solve a planned fault was scheduled into, and
         # the injector's per-(rung, index, attempt) schedule must stay
         # exercised for the determinism tests to mean anything.
-        chaos_active = (
-            self.resilience is not None
-            and getattr(self.resilience, "chaos", None) is not None
-        )
+        chaos_active = self.resilience.chaos is not None
         cache_stats: Optional[CacheRunStats] = None
         hits: List[ComponentOutcome] = []
         pending = tasks
@@ -154,18 +157,14 @@ class SolveEngine:
         if cache is not None and not chaos_active:
             cache_stats = CacheRunStats(cache.kind)
             hits, pending = self._cache_lookup(
-                tasks, cache, cache_stats, fingerprints, cached_components
+                tasks, tokens, cache, cache_stats, fingerprints, cached_components
             )
 
         dispatch_started = time.perf_counter()
-        if self.resilience is not None:
-            solved, resilience_report = run_components_resilient(
-                pending, jobs=self.jobs, policy=self.resilience
-            )
-            telemetry.resilience = resilience_report.as_dict()
-        else:
-            solved = run_components(pending, jobs=self.jobs)
-            resilience_report = None
+        solved, resilience_report = run_components(
+            pending, jobs=self.jobs, policy=self.resilience
+        )
+        telemetry.resilience = resilience_report.as_dict()
         telemetry.solve_seconds = time.perf_counter() - dispatch_started
 
         if cache is not None and cache_stats is not None and fingerprints:
@@ -201,7 +200,7 @@ class SolveEngine:
                 gap=gap if isinstance(gap, dict) else None,
             )
         solution = prep.finalize(selected)
-        if resilience_report is not None and not resilience_report.clean:
+        if not resilience_report.clean:
             solution = PartialSolution(
                 solution.classifiers,
                 solution.cost,
@@ -227,25 +226,31 @@ class SolveEngine:
         components: Iterable[MC3Instance],
         component_solver: SolvesComponents,
         backend_name: str,
-    ) -> List[ComponentTask]:
-        """Assign each component to the first matching route, else the
-        default solver; every task carries its resolved kernel backend
-        (the route's override when present, else the engine's)."""
+    ) -> Tuple[List[ComponentTask], List[Optional[Tuple[object, ...]]]]:
+        """Assign each component the strategy of the first matching
+        route, else the solver's own; returns the tasks and each task's
+        cache token (``None``: uncacheable).  Every task carries its
+        resolved kernel backend (the route's override when present,
+        else the engine's)."""
+        strategy = getattr(component_solver, "strategy", None)
+        primary = component_solver if strategy is None else strategy()
+        primary_token = cache_token_of(component_solver)
         tasks: List[ComponentTask] = []
+        tokens: List[Optional[Tuple[object, ...]]] = []
         for index, component in enumerate(components):
-            target: SolvesComponents = component_solver
-            route_name: Optional[str] = None
-            task_backend = backend_name
+            task = (index, primary, component, None, backend_name)
+            token = primary_token
             for route in self.routes:
                 if route.matches(component):
-                    target = route
-                    route_name = route.name
-                    route_backend = getattr(route, "backend", None)
-                    if route_backend is not None:
-                        task_backend = resolve_backend_name(route_backend)
+                    task_backend = backend_name
+                    if route.backend is not None:
+                        task_backend = resolve_backend_name(route.backend)
+                    task = (index, route.strategy, component, route.name, task_backend)
+                    token = route.cache_token
                     break
-            tasks.append((index, target, component, route_name, task_backend))
-        return tasks
+            tasks.append(task)
+            tokens.append(token)
+        return tasks, tokens
 
     # ------------------------------------------------------------------
     # Content-addressed component-solution cache (see repro.engine.cache)
@@ -254,6 +259,7 @@ class SolveEngine:
     def _cache_lookup(
         self,
         tasks: List[ComponentTask],
+        tokens: List[Optional[Tuple[object, ...]]],
         cache: SolutionCache,
         stats: CacheRunStats,
         fingerprints: Dict[int, str],
@@ -261,20 +267,17 @@ class SolveEngine:
     ) -> Tuple[List[ComponentOutcome], List[ComponentTask]]:
         """Split tasks into cache-hit outcomes and still-pending tasks.
 
-        A task is cacheable only when its dispatch target exposes a
-        cache token (every in-repo solver and route does; custom
-        ``SolvesComponents`` objects do not and are never cached).  The
-        fingerprint pins the *primary* rung slot — under a resilience
-        policy a hit stands in for the primary solver's clean answer,
-        so the hit outcome carries the primary rung name exactly as an
-        uncached clean resilient run would.
+        A task is cacheable only when it has a cache token (every
+        in-repo solver and route does; custom ``SolvesComponents``
+        objects do not and are never cached).  The fingerprint pins the
+        *primary* rung slot: a hit stands in for the primary strategy's
+        clean answer, so it carries that strategy's rung name exactly as
+        an uncached clean run would.
         """
-        resilient = self.resilience is not None
         hit_outcomes: List[ComponentOutcome] = []
         pending: List[ComponentTask] = []
-        for task in tasks:
+        for task, token in zip(tasks, tokens):
             index, target, component, route_name, task_backend = task
-            token = cache_token_of(target)
             if token is None:
                 stats.uncacheable += 1
                 pending.append(task)
@@ -314,7 +317,7 @@ class SolveEngine:
                     elapsed,
                     component.n,
                     route_name,
-                    rung=getattr(target, "name", None) if resilient else None,
+                    rung=target.name,
                     backend=task_backend,
                 )
             )
@@ -338,11 +341,9 @@ class SolveEngine:
         written, and outcomes whose details do not serialize are
         skipped rather than cached lossily.
         """
-        failed = set()
-        if resilience_report is not None:
-            failed.update(f.index for f in resilience_report.failures)
-            failed.update(resilience_report.degraded)
-            failed.update(resilience_report.skipped)
+        failed = {f.index for f in resilience_report.failures}
+        failed.update(resilience_report.degraded)
+        failed.update(resilience_report.skipped)
         for outcome in solved:
             fingerprint = fingerprints.get(outcome.index)
             if fingerprint is None or outcome.index in failed:

@@ -1,10 +1,14 @@
-"""Fault-tolerant component execution: budgets, fallback chains, policies.
+"""The engine's component executor: budgets, fallback chains, policies.
 
-One hung LP solve, one OOM-killed worker, or one ``SolverError`` in a
-single component used to abort the whole engine run.  This module makes
-the paper's implicit quality ladder (Algorithm 3 takes the better of
-greedy and LP rounding, with primal–dual as the large-instance
-fallback, Section 5) an explicit runtime mechanism:
+Every engine run dispatches its components through :func:`run_components`,
+in process (``jobs=1``) or over a process pool.  A run that declares no
+policy gets :data:`PLAIN_POLICY`: a one-rung chain with no budget, where
+a failing component re-raises its original exception, annotated with
+``component_index`` and ``worker_traceback``.  A
+:class:`ResiliencePolicy` makes the paper's implicit quality ladder
+(Algorithm 3 takes the better of greedy and LP rounding, with
+primal–dual as the large-instance fallback, Section 5) an explicit
+runtime mechanism:
 
 * **budgets** — a per-attempt wall-clock ``timeout_seconds`` plus an
   optional retry count with a *deterministic* backoff schedule
@@ -13,9 +17,9 @@ fallback, Section 5) an explicit runtime mechanism:
 * **fallback chains** — an ordered list of rungs; when an attempt
   fails (error, timeout, worker death, infeasible output) the next
   rung solves the *same* component.  Rungs are named entries of
-  :data:`FALLBACK_RUNGS` (``"greedy"``, ``"sampled"``,
-  ``"primal-dual"``, ``"k2-exact"``, ``"query-oriented"``) or any
-  object satisfying the
+  :data:`~repro.engine.strategies.STRATEGIES` (``"greedy"``,
+  ``"sampled"``, ``"primal-dual"``, ``"k2-exact"``,
+  ``"query-oriented"``) or any object satisfying the
   :class:`~repro.engine.component.SolvesComponents` contract;
 * **worker-crash recovery** — a ``BrokenProcessPool`` re-runs the
   surviving in-flight tasks one at a time in isolated single-worker
@@ -32,6 +36,13 @@ failed rung's name, the attempt number, and the worker's formatted
 traceback; runs that degraded or skipped return a
 :class:`PartialSolution` so callers can see exactly what they got.
 
+Pool tasks carry only ``(index, strategy, component, route, backend)``.
+The pool uses the ``fork`` start method wherever the platform offers
+one (:func:`pool_context`): forked workers keep the parent's hash seed,
+so hash-order-sensitive iteration cannot diverge between sequential and
+pooled runs.  Outcomes come back in component index order whatever the
+completion order, so ``jobs=N`` merges exactly what ``jobs=1`` does.
+
 Determinism contract: with a fixed chaos seed (see
 :mod:`repro.devtools.chaos`) the sequence of (rung, attempt, failure
 kind) per component — and therefore the final output — is bit-identical
@@ -42,15 +53,17 @@ margin, which a scheduled stall does deliberately.
 
 :class:`~repro.exceptions.UncoverableQueryError` is *not* a fault: it
 is a property of the data that no fallback rung can repair.  Under
-``on_error="raise"`` it propagates unchanged; under ``"degrade"`` /
-``"skip"`` the component is recorded as uncovered without burning the
-rest of the chain.
+``on_error="raise"`` it propagates; under ``"degrade"`` / ``"skip"``
+the component is recorded as uncovered without burning the rest of the
+chain.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
+import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -58,16 +71,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.bitspace import PropertySpace
 from repro.core.coverage import verify_cover
 from repro.core.instance import MC3Instance
 from repro.core.kernels.registry import use_backend
-from repro.core.mincover import min_cover_from_model
 from repro.core.properties import Classifier, Query
 from repro.core.solution import Solution
 from repro.engine.component import ComponentOutcome, SolvesComponents
-from repro.engine.executors import ComponentTask, _solve_one, pool_context
-from repro.engine.routing import solve_component_k2
+from repro.engine.strategies import STRATEGIES, resolve_rung
 from repro.exceptions import (
     FallbackExhaustedError,
     InfeasibleSolutionError,
@@ -75,145 +85,39 @@ from repro.exceptions import (
     SolverError,
     UncoverableQueryError,
 )
-from repro.reductions import mc3_to_wsc
-from repro.setcover import derive_seed, greedy_wsc, primal_dual_wsc, sampled_greedy_wsc
 
-# ----------------------------------------------------------------------
-# Fallback rungs
-# ----------------------------------------------------------------------
-
-
-class GreedyWSCRung:
-    """Greedy weighted set cover — the cheap, always-available ladder rung."""
-
-    name = "greedy"
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        space = PropertySpace.from_queries(component.queries)
-        wsc = mc3_to_wsc(component, space=space)
-        wsc_solution = greedy_wsc(wsc)
-        return {wsc.set_label(set_id) for set_id in wsc_solution.set_ids}, {
-            "rung": self.name
-        }
+#: One unit of work: (component index, strategy, component, route name,
+#: kernel backend name).  The backend is resolved by the engine, so a
+#: worker process activates the same concrete backend the parent chose.
+ComponentTask = Tuple[int, SolvesComponents, MC3Instance, Optional[str], Optional[str]]
 
 
-class SampledGreedyRung:
-    """Sampling-based sub-linear greedy — the large-component rung.
-
-    Useful ahead of ``greedy`` in a chain serving huge components: the
-    sampled solve touches a fraction of the universe per round, so it
-    finishes inside budgets the exact-gain greedy would blow.  Small
-    components take its built-in exactness fallback, so the rung is
-    safe anywhere in a chain.  The per-component seed is derived from
-    the rung seed and the component's queries (content digest), keeping
-    chain outputs bit-identical across ``jobs`` and hash seeds.
-    """
-
-    name = "sampled"
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        space = PropertySpace.from_queries(component.queries)
-        wsc = mc3_to_wsc(component, space=space)
-        wsc_solution = sampled_greedy_wsc(
-            wsc, seed=derive_seed(self.seed, component.queries)
-        )
-        return {wsc.set_label(set_id) for set_id in wsc_solution.set_ids}, {
-            "rung": self.name
-        }
+def pool_context():
+    """The multiprocessing context engine pools are built on: ``fork``
+    where available (POSIX), else the platform default (e.g. Windows),
+    where determinism rests on the kernels being hash-order clean
+    (reprolint RPL101/RPL102)."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
 
 
-class PrimalDualRung:
-    """Primal–dual WSC — the paper's linear-time large-instance fallback."""
-
-    name = "primal-dual"
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        space = PropertySpace.from_queries(component.queries)
-        wsc = mc3_to_wsc(component, space=space)
-        wsc_solution = primal_dual_wsc(wsc)
-        return {wsc.set_label(set_id) for set_id in wsc_solution.set_ids}, {
-            "rung": self.name
-        }
-
-
-class K2ExactRung:
-    """Exact max-flow solve; only valid when every query has length ≤ 2.
-
-    On longer queries the Theorem 4.1 reduction raises
-    :class:`~repro.exceptions.ReductionError`, which the chain treats as
-    a failed rung — so ``k2-exact`` can safely lead a chain that also
-    serves general components.
-    """
-
-    name = "k2-exact"
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        return solve_component_k2(component)
-
-
-class QueryOrientedRung:
-    """Cover every query independently — always feasible, never optimal.
-
-    This is the rung of last resort and the built-in ``degrade`` target:
-    each query gets its own minimum-cost cover (the full-query
-    classifier when it is the cheapest, per the paper's query-oriented
-    baseline; a cheapest classifier combination otherwise — residual
-    components routinely price the full-query classifier at infinity
-    after preprocessing rewrites the queries).  Sharing across queries
-    is ignored entirely, which is what makes the rung unconditional.
-    """
-
-    name = "query-oriented"
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        selected: Set[Classifier] = set()
-        for q in component.queries:
-            cover = min_cover_from_model(q, component)
-            if cover is None:
-                raise UncoverableQueryError(q)
-            selected.update(cover.classifiers)
-        return selected, {"rung": self.name}
-
-
-#: Named rung registry for CLI/config declarations (``--fallback``).
-FALLBACK_RUNGS = {
-    "greedy": GreedyWSCRung,
-    "sampled": SampledGreedyRung,
-    "primal-dual": PrimalDualRung,
-    "k2-exact": K2ExactRung,
-    "query-oriented": QueryOrientedRung,
-}
-
-
-def resolve_rung(spec) -> SolvesComponents:
-    """A rung instance from a registry name or a SolvesComponents object."""
-    if isinstance(spec, str):
-        try:
-            return FALLBACK_RUNGS[spec]()
-        except KeyError:
-            known = ", ".join(sorted(FALLBACK_RUNGS))
-            raise SolverError(
-                f"unknown fallback rung {spec!r} (known: {known})"
-            ) from None
-    if callable(getattr(spec, "solve_component", None)):
-        return spec
-    raise SolverError(
-        f"fallback rung {spec!r} is neither a registry name nor a "
-        "SolvesComponents object"
-    )
+def _solve_one(
+    task: ComponentTask,
+) -> Tuple[FrozenSet[Classifier], Dict[str, object], float]:
+    """Worker: solve one component, timed.  Module-level for pickling."""
+    index, strategy, component, _route, backend = task
+    started = time.perf_counter()
+    try:
+        with use_backend(backend):
+            classifiers, details = strategy.solve_component(component)
+    except ReproError as exc:
+        # Annotate in the worker, where the real traceback still exists:
+        # instance attributes survive pickling, the traceback does not.
+        exc.component_index = index
+        exc.worker_traceback = traceback.format_exc()
+        raise
+    return frozenset(classifiers), details, time.perf_counter() - started
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +253,8 @@ class ResiliencePolicy:
         ``"skip"`` records the component's queries as uncovered.
     fallback:
         Rungs tried, in order, after the primary solver fails — registry
-        names (see :data:`FALLBACK_RUNGS`) or SolvesComponents objects.
+        names (see :data:`~repro.engine.strategies.STRATEGIES`) or
+        SolvesComponents objects.
     route_fallback:
         Per-route chain overrides keyed by route name (e.g.
         ``{"exact-k2": ("k2-exact", "greedy")}``); unrouted components
@@ -430,6 +335,13 @@ class ResiliencePolicy:
         return [primary] + [resolve_rung(entry) for entry in spec]
 
 
+#: The policy of a run that declares none: a one-rung chain with no
+#: budget, no retries and no per-component cover check (``Solver.solve``
+#: verifies the merged answer), under which a failed component re-raises
+#: its original exception.
+PLAIN_POLICY = ResiliencePolicy(validate_covers=False)
+
+
 # ----------------------------------------------------------------------
 # Run report
 # ----------------------------------------------------------------------
@@ -506,6 +418,7 @@ class _ChainState:
         "failures",
         "quarantined",
         "not_before",
+        "error",
     )
 
     def __init__(self, task: ComponentTask, policy: ResiliencePolicy):
@@ -518,6 +431,8 @@ class _ChainState:
         #: Monotonic timestamp before which the next attempt must not
         #: start (deterministic retry backoff); 0.0 = immediately.
         self.not_before = 0.0
+        #: The exception of the latest failed attempt, if one raised.
+        self.error: Optional[BaseException] = None
 
     @property
     def rung(self) -> SolvesComponents:
@@ -568,6 +483,7 @@ def _kind_of(exc: BaseException) -> str:
 
 
 def _failure_from_exception(state: _ChainState, exc: BaseException) -> ComponentFailure:
+    state.error = exc
     return state.failure(
         kind=_kind_of(exc),
         error_type=type(exc).__name__,
@@ -625,6 +541,10 @@ def _exhausted_outcome(
     """Apply the on_error policy to a chain that ran dry."""
     uncoverable = any(f.kind == "uncoverable" for f in state.failures)
     if policy.on_error == "raise":
+        if state.error is not None and len(state.chain) == 1 and not policy.max_retries:
+            # The only rung failed on its only attempt: nothing to
+            # summarise, so the caller sees the failure as it was raised.
+            raise state.error
         if uncoverable:
             raise UncoverableQueryError(
                 next(iter(state.component.queries)),
@@ -634,7 +554,7 @@ def _exhausted_outcome(
     if policy.on_error == "degrade" and not uncoverable:
         # The safety net runs unwrapped (no chaos) and untimed: it is
         # the deterministic floor the degrade contract promises.
-        rung = QueryOrientedRung()
+        rung = STRATEGIES["query-oriented"]
         started = time.perf_counter()
         with use_backend(state.backend):
             classifiers, details = rung.solve_component(state.component)
@@ -755,7 +675,7 @@ def _adjudicate(
 
 
 # ----------------------------------------------------------------------
-# Sequential resilient execution
+# In-process execution
 # ----------------------------------------------------------------------
 
 
@@ -775,34 +695,19 @@ def _solve_chain_inprocess(
             return gated
         _sleep_until(state.not_before)
         try:
-            _, classifiers, details, seconds, _, _, _ = _solve_one(
-                state.attempt_task(policy)
-            )
+            classifiers, details, seconds = _solve_one(state.attempt_task(policy))
         except (ReproError, MemoryError, RecursionError) as exc:
             failure = _failure_from_exception(state, exc)
-            action = _advance(state, failure, policy, report)
-            if action == "exhausted":
-                return _exhausted_outcome(state, policy, report)
-            continue
-        rejected = _adjudicate(state, classifiers, details, seconds, policy)
-        if rejected is None:
-            return _success_outcome(state, classifiers, details, seconds, policy)
-        action = _advance(state, rejected, policy, report)
-        if action == "exhausted":
+        else:
+            failure = _adjudicate(state, classifiers, details, seconds, policy)
+            if failure is None:
+                return _success_outcome(state, classifiers, details, seconds, policy)
+        if _advance(state, failure, policy, report) == "exhausted":
             return _exhausted_outcome(state, policy, report)
 
 
-def _run_sequential_resilient(
-    tasks: List[ComponentTask], policy: ResiliencePolicy, report: ResilienceReport
-) -> List[ComponentOutcome]:
-    return [
-        _solve_chain_inprocess(_ChainState(task, policy), policy, report)
-        for task in tasks
-    ]
-
-
 # ----------------------------------------------------------------------
-# Pool resilient execution
+# Pool execution
 # ----------------------------------------------------------------------
 
 
@@ -819,6 +724,41 @@ def _crash_failure(state: _ChainState) -> ComponentFailure:
             "(no traceback survives a worker death)"
         ),
     )
+
+
+def _fail(
+    state: _ChainState,
+    failure: ComponentFailure,
+    policy: ResiliencePolicy,
+    report: ResilienceReport,
+    outcomes: Dict[int, ComponentOutcome],
+    queue: deque,
+) -> None:
+    """Record a failed pool attempt: settle an exhausted chain, else
+    queue the chain's next attempt."""
+    if _advance(state, failure, policy, report) == "exhausted":
+        outcomes[state.index] = _exhausted_outcome(state, policy, report)
+    else:
+        queue.append(state)
+
+
+def _finish(
+    state: _ChainState,
+    result: Tuple[FrozenSet[Classifier], Dict[str, object], float],
+    policy: ResiliencePolicy,
+    report: ResilienceReport,
+    outcomes: Dict[int, ComponentOutcome],
+    queue: deque,
+) -> None:
+    """Adjudicate a completed pool attempt: settle it, or fail it."""
+    classifiers, details, seconds = result
+    rejected = _adjudicate(state, classifiers, details, seconds, policy)
+    if rejected is None:
+        outcomes[state.index] = _success_outcome(
+            state, classifiers, details, seconds, policy
+        )
+    else:
+        _fail(state, rejected, policy, report, outcomes, queue)
 
 
 def _rerun_isolated(
@@ -842,11 +782,11 @@ def _rerun_isolated(
         deadline = policy.timeout_seconds + policy.timeout_grace_seconds
     # No ``with`` block: context exit would wait for the worker, and the
     # abandonment path must *not* wait for a stalled attempt.
-    mini = ProcessPoolExecutor(max_workers=1, mp_context=pool_context())
+    mini = _new_pool(1)
     try:
         future = mini.submit(_solve_one, state.attempt_task(policy))
         try:
-            _, classifiers, details, seconds, _, _, _ = future.result(timeout=deadline)
+            result = future.result(timeout=deadline)
         except BrokenProcessPool:
             # The lone worker is dead, so waiting is safe — and joining
             # the manager thread here keeps its wakeup pipe from being
@@ -870,35 +810,18 @@ def _rerun_isolated(
                     "(isolated worker still running)"
                 ),
             )
-            action = _advance(state, failure, policy, report)
-            if action == "exhausted":
-                outcomes[state.index] = _exhausted_outcome(state, policy, report)
-            else:
-                requeue.append(state)
+            _fail(state, failure, policy, report, outcomes, requeue)
             return
         except (ReproError, MemoryError, RecursionError) as exc:
-            action = _advance(state, _failure_from_exception(state, exc), policy, report)
-            if action == "exhausted":
-                outcomes[state.index] = _exhausted_outcome(state, policy, report)
-            else:
-                requeue.append(state)
+            failure = _failure_from_exception(state, exc)
+            _fail(state, failure, policy, report, outcomes, requeue)
             return
     finally:
         mini.shutdown(wait=False)
-    rejected = _adjudicate(state, classifiers, details, seconds, policy)
-    if rejected is None:
-        outcomes[state.index] = _success_outcome(
-            state, classifiers, details, seconds, policy
-        )
-        return
-    action = _advance(state, rejected, policy, report)
-    if action == "exhausted":
-        outcomes[state.index] = _exhausted_outcome(state, policy, report)
-    else:
-        requeue.append(state)
+    _finish(state, result, policy, report, outcomes, requeue)
 
 
-def _run_pool_resilient(
+def _run_pool(
     tasks: List[ComponentTask],
     jobs: int,
     policy: ResiliencePolicy,
@@ -911,13 +834,6 @@ def _run_pool_resilient(
     active: Dict[object, _ChainState] = {}
     submit_times: Dict[object, float] = {}
     abandoned: Set[object] = set()
-
-    def handle_action(state: _ChainState, action: str) -> None:
-        if action == "exhausted":
-            outcomes[state.index] = _exhausted_outcome(state, policy, report)
-        else:
-            queue.append(state)
-
     try:
         while queue or active:
             now = time.monotonic()
@@ -967,23 +883,15 @@ def _run_pool_resilient(
                 state = active.pop(future)
                 submit_times.pop(future, None)
                 try:
-                    _, classifiers, details, seconds, _, _, _ = future.result()
+                    result = future.result()
                 except BrokenProcessPool:
                     survivors.append(state)
                     continue
                 except (ReproError, MemoryError, RecursionError) as exc:
-                    handle_action(
-                        state, _advance(state, _failure_from_exception(state, exc),
-                                        policy, report)
-                    )
+                    failure = _failure_from_exception(state, exc)
+                    _fail(state, failure, policy, report, outcomes, queue)
                     continue
-                rejected = _adjudicate(state, classifiers, details, seconds, policy)
-                if rejected is None:
-                    outcomes[state.index] = _success_outcome(
-                        state, classifiers, details, seconds, policy
-                    )
-                else:
-                    handle_action(state, _advance(state, rejected, policy, report))
+                _finish(state, result, policy, report, outcomes, queue)
             if survivors:
                 # The pool is broken: every in-flight attempt died with
                 # it.  Re-run each survivor in isolation (attributable),
@@ -1022,7 +930,7 @@ def _run_pool_resilient(
                             "(worker still running)"
                         ),
                     )
-                    handle_action(state, _advance(state, failure, policy, report))
+                    _fail(state, failure, policy, report, outcomes, queue)
     finally:
         pool.shutdown(wait=False)
     return [outcomes[index] for index in sorted(outcomes)]
@@ -1033,20 +941,25 @@ def _run_pool_resilient(
 # ----------------------------------------------------------------------
 
 
-def run_components_resilient(
+def run_components(
     tasks: List[ComponentTask],
-    jobs: int,
-    policy: ResiliencePolicy,
+    jobs: int = 1,
+    policy: Optional[ResiliencePolicy] = None,
 ) -> Tuple[List[ComponentOutcome], ResilienceReport]:
-    """Dispatch ``tasks`` under ``policy``; returns outcomes in index
-    order plus the accumulated :class:`ResilienceReport`.
+    """Dispatch ``tasks`` under ``policy`` (:data:`PLAIN_POLICY` when
+    ``None``); returns outcomes in index order plus the accumulated
+    :class:`ResilienceReport`.
 
-    Mirrors :func:`repro.engine.executors.run_components`' strategy
-    choice: fewer than two tasks, or ``jobs <= 1``, run in-process.
+    ``jobs <= 1`` (or fewer than two tasks) runs in-process — a pool of
+    one worker would pay pickling and fork overhead for nothing.
     """
+    policy = PLAIN_POLICY if policy is None else policy
     report = ResilienceReport()
     if jobs <= 1 or len(tasks) < 2:
-        outcomes = _run_sequential_resilient(tasks, policy, report)
+        outcomes = [
+            _solve_chain_inprocess(_ChainState(task, policy), policy, report)
+            for task in tasks
+        ]
     else:
-        outcomes = _run_pool_resilient(tasks, jobs, policy, report)
+        outcomes = _run_pool(tasks, jobs, policy, report)
     return outcomes, report

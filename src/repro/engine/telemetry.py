@@ -71,9 +71,8 @@ class EngineTelemetry:
         self.component_seconds: List[float] = []
         self.routed: Dict[str, int] = {}
         self.backends: Dict[str, int] = {}
-        # Fallback-chain resolution counts per rung name (resilient runs
-        # only; plain runs leave this empty) and the resilience report
-        # rendered by the engine when a policy was active.
+        # Answer counts per rung name (the strategy that produced each
+        # component's answer) and the executor's resilience report.
         self.rungs: Dict[str, int] = {}
         self.resilience: Optional[Dict[str, object]] = None
         # Component-solution cache counters for this run (hits, misses,

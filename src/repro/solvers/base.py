@@ -9,25 +9,26 @@ bogus cost.
 :class:`ComponentSolver` narrows the contract further for solvers whose
 pipeline is the paper's standard shape — preprocess, solve each
 property-disjoint component, merge.  Such solvers implement only
-``solve_component``; the shared :class:`~repro.engine.SolveEngine` owns
-preprocessing, scheduling, (optionally parallel) dispatch, deterministic
-merging, and per-stage telemetry.
+``strategy()``, naming a picklable per-component algorithm from
+:mod:`repro.engine.strategies`; the shared :class:`~repro.engine.SolveEngine`
+owns preprocessing, scheduling, (optionally parallel) dispatch,
+deterministic merging, and per-stage telemetry.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import MC3Instance
 from repro.core.kernels.registry import use_backend
-from repro.core.properties import Classifier
 from repro.core.solution import Solution, SolverResult
 from repro.engine.component import ComponentOutcome
 from repro.engine.engine import SolveEngine
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.routing import Route
+from repro.engine.strategies import ComponentAnswer, ComponentStrategy
 from repro.preprocess import ALL_STEPS
 
 
@@ -105,9 +106,11 @@ class Solver(ABC):
 class ComponentSolver(Solver):
     """A solver that delegates its pipeline to the shared engine.
 
-    Subclasses implement :meth:`solve_component` (the per-component
-    algorithm) and may override :meth:`routes` (engine-level dispatch
-    rules such as :func:`~repro.engine.routing.exact_k2_route`),
+    Subclasses implement :meth:`strategy` (the per-component algorithm,
+    named after the solver, whose parameters form the cache token) and
+    may override :meth:`routes` (engine-level dispatch rules such as
+    :func:`~repro.engine.routing.exact_k2_route`, which carry their own
+    cache tokens),
     :meth:`aggregate_details` (fold per-component details into the
     result's details dict), and :meth:`validate_instance` (domain checks
     that must run before preprocessing).
@@ -136,11 +139,15 @@ class ComponentSolver(Solver):
     # -- the narrow contract -------------------------------------------
 
     @abstractmethod
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        """Solve one property-disjoint component; return the selected
-        classifiers and a per-component details dict."""
+    def strategy(self) -> ComponentStrategy:
+        """The picklable per-component algorithm the engine dispatches."""
+
+    def solve_component(self, component: MC3Instance) -> ComponentAnswer:
+        """Solve one property-disjoint component with :meth:`strategy`."""
+        return self.strategy().solve_component(component)
+
+    def cache_token(self) -> Optional[Tuple[object, ...]]:
+        return self.strategy().cache_token()
 
     # -- optional hooks ------------------------------------------------
 

@@ -9,17 +9,45 @@ per-component exact WSC solve lives here.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.bitspace import PropertySpace
 from repro.core.instance import MC3Instance
-from repro.core.properties import Classifier
 from repro.engine.resilience import ResiliencePolicy
+from repro.engine.strategies import WSCStrategy
 from repro.exceptions import SolverError
 from repro.preprocess import ALL_STEPS
-from repro.reductions import mc3_to_wsc
-from repro.setcover import DEFAULT_NODE_LIMIT, exact_wsc, exact_wsc_lp
+from repro.setcover import (
+    DEFAULT_NODE_LIMIT,
+    WSCInstance,
+    WSCSolution,
+    exact_wsc,
+    exact_wsc_lp,
+)
 from repro.solvers.base import ComponentSolver
+
+
+class ExactWSC(WSCStrategy):
+    """Exact WSC branch-and-bound on one component: the combinatorial
+    search (bounded by ``node_limit``) or the LP-bounded one."""
+
+    def __init__(self, engine: str, node_limit: int, name: str):
+        super().__init__(name)
+        self.engine = engine
+        self.node_limit = node_limit
+
+    def params(self) -> Tuple[object, ...]:
+        # ``node_limit`` matters: a search that hits the limit raises,
+        # so a cached entry proves the limit was generous enough — but a
+        # *smaller* limit must not be served a bigger limit's answer, or
+        # the limit stops being reproducible.
+        return (self.engine, self.node_limit)
+
+    def cover(
+        self, wsc: WSCInstance, component: MC3Instance
+    ) -> Tuple[WSCSolution, Dict[str, object]]:
+        if self.engine == "lp":
+            return exact_wsc_lp(wsc), {}
+        return exact_wsc(wsc, node_limit=self.node_limit), {}
 
 
 class ExactSolver(ComponentSolver):
@@ -58,26 +86,5 @@ class ExactSolver(ComponentSolver):
         self.node_limit = node_limit
         self.engine = engine
 
-    def cache_token(self) -> Optional[Tuple[object, ...]]:
-        # ``node_limit`` matters: a search that hits the limit raises,
-        # so a cached entry proves the limit was generous enough — but a
-        # *smaller* limit must not be served a bigger limit's answer, or
-        # the limit stops being reproducible.
-        return (self.name, self.engine, self.node_limit)
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        space = PropertySpace.from_queries(component.queries)
-        wsc = mc3_to_wsc(component, space=space)
-        if self.engine == "lp":
-            wsc_solution = exact_wsc_lp(wsc)
-        else:
-            wsc_solution = exact_wsc(wsc, node_limit=self.node_limit)
-        classifiers = {wsc.set_label(set_id) for set_id in wsc_solution.set_ids}
-        bitspace = {
-            "properties": space.size,
-            "elements": wsc.universe_size,
-            "sets": wsc.num_sets,
-        }
-        return classifiers, {"bitspace": bitspace}
+    def strategy(self) -> ExactWSC:
+        return ExactWSC(self.engine, self.node_limit, name=self.name)

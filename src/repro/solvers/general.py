@@ -11,30 +11,21 @@ small enough for SciPy's HiGHS backend, and the primal–dual scheme
 (identical guarantee, linear time) beyond that threshold.
 
 Preprocessing, per-component dispatch (optionally across a process
-pool), merging, and the exact k ≤ 2 component routing all live in the
-shared engine — this module contributes only the per-component WSC
-solve.
+pool), merging, the exact k ≤ 2 component routing and the
+per-component WSC ladder itself (:class:`~repro.engine.strategies.ApproxWSC`)
+all live in the shared engine — this module names the configuration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bitspace import PropertySpace
-from repro.core.instance import MC3Instance
-from repro.core.properties import Classifier
 from repro.engine.component import ComponentOutcome
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.routing import EXACT_K2_ROUTE, Route, exact_k2_route
+from repro.engine.strategies import ApproxWSC
 from repro.preprocess import ALL_STEPS
-from repro.reductions import mc3_to_wsc
-from repro.setcover import (
-    DEFAULT_SIZE_LIMIT,
-    greedy_wsc,
-    lp_nonzeros,
-    lp_rounding_wsc,
-    primal_dual_wsc,
-)
+from repro.setcover import DEFAULT_SIZE_LIMIT
 from repro.solvers.base import ComponentSolver
 
 
@@ -98,61 +89,16 @@ class GeneralSolver(ComponentSolver):
         self.prune = prune
         self.dispatch_k2 = dispatch_k2
 
-    def cache_token(self) -> Optional[Tuple[object, ...]]:
-        # ``dispatch_k2`` is deliberately absent: routed components carry
-        # the route's own token, and unrouted ones solve identically
-        # whether the route was offered or not.
-        return (self.name, self.wsc_method, self.lp_size_limit, self.prune)
+    def strategy(self) -> ApproxWSC:
+        # ``dispatch_k2`` is deliberately not a strategy parameter:
+        # routed components carry the route's own cache token, and
+        # unrouted ones solve identically whether the route was offered.
+        return ApproxWSC(
+            self.wsc_method, self.lp_size_limit, self.prune, name=self.name
+        )
 
     def routes(self) -> Tuple[Route, ...]:
         return (exact_k2_route(),) if self.dispatch_k2 else ()
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        # One interning per component: the reduction and every WSC pass
-        # below share the same mask space (the engine's component
-        # boundary keeps it as narrow as the component's property count).
-        space = PropertySpace.from_queries(component.queries)
-        wsc = mc3_to_wsc(component, space=space)
-
-        def f_approx() -> Tuple[object, str]:
-            if self.lp_size_limit is not None and lp_nonzeros(wsc) > self.lp_size_limit:
-                return primal_dual_wsc(wsc, prune=self.prune), "primal_dual"
-            return lp_rounding_wsc(wsc, prune=self.prune), "lp"
-
-        winner: Optional[str] = None
-        f_mode: Optional[str] = None
-        if self.wsc_method == "greedy":
-            wsc_solution = greedy_wsc(wsc)
-        elif self.wsc_method == "bucket_greedy":
-            from repro.setcover import bucket_greedy_wsc
-
-            wsc_solution = bucket_greedy_wsc(wsc)
-        elif self.wsc_method == "lp":
-            wsc_solution, f_mode = f_approx()
-        elif self.wsc_method == "primal_dual":
-            wsc_solution = primal_dual_wsc(wsc, prune=self.prune)
-            f_mode = "primal_dual"
-        else:  # "best_of" — Algorithm 3 lines 3-5
-            greedy_solution = greedy_wsc(wsc)
-            f_solution, f_mode = f_approx()
-            if greedy_solution.cost <= f_solution.cost:
-                wsc_solution, winner = greedy_solution, "greedy"
-            else:
-                wsc_solution, winner = f_solution, "f_approx"
-
-        classifiers = {wsc.set_label(set_id) for set_id in wsc_solution.set_ids}
-        details: Dict[str, object] = {
-            "winner": winner,
-            "f_mode": f_mode,
-            "bitspace": {
-                "properties": space.size,
-                "elements": wsc.universe_size,
-                "sets": wsc.num_sets,
-            },
-        }
-        return classifiers, details
 
     def aggregate_details(
         self, outcomes: List[ComponentOutcome]

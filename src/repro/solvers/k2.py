@@ -8,20 +8,19 @@ bipartite Weighted Vertex Cover (Theorem 4.1) → reduction to Max-Flow
 The solution is *optimal*: preprocessing preserves an optimal solution
 and the two reductions are exact.  The pipeline itself (preprocess →
 per-component dispatch → merge) is owned by the shared engine; this
-module contributes only the per-component algorithm, which lives in
-:func:`repro.engine.routing.solve_component_k2` so the engine can also
-route short components here from approximate solvers (``dispatch_k2``).
+module names the configuration of the per-component algorithm,
+:class:`repro.engine.strategies.K2Exact`, which the engine also routes
+short components to from approximate solvers (``dispatch_k2``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.instance import MC3Instance
-from repro.core.properties import Classifier
 from repro.engine.component import ComponentOutcome
 from repro.engine.resilience import ResiliencePolicy
-from repro.engine.routing import solve_component_k2
+from repro.engine.strategies import K2Exact
 from repro.exceptions import ReductionError
 from repro.preprocess import ALL_STEPS
 from repro.solvers.base import ComponentSolver
@@ -65,19 +64,14 @@ class K2Solver(ComponentSolver):
         )
         self.flow_algorithm = flow_algorithm
 
-    def cache_token(self) -> Optional[Tuple[object, ...]]:
-        return (self.name, self.flow_algorithm)
+    def strategy(self) -> K2Exact:
+        return K2Exact(self.flow_algorithm, name=self.name)
 
     def validate_instance(self, instance: MC3Instance) -> None:
         if instance.max_query_length > 2:
             raise ReductionError(
                 f"K2Solver requires k <= 2, instance has k = {instance.max_query_length}"
             )
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        return solve_component_k2(component, flow_algorithm=self.flow_algorithm)
 
     def aggregate_details(
         self, outcomes: List[ComponentOutcome]

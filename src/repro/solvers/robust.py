@@ -17,18 +17,47 @@ pipeline is the shared engine's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bitspace import PropertySpace
 from repro.core.instance import MC3Instance
-from repro.core.properties import Classifier
 from repro.core.solution import Solution
 from repro.engine.component import ComponentOutcome
 from repro.engine.resilience import ResiliencePolicy
+from repro.engine.strategies import WSCStrategy
 from repro.exceptions import SolverError, UncoverableQueryError
-from repro.reductions import mc3_to_wsc
+from repro.setcover import WSCInstance, WSCSolution
 from repro.setcover.multicover import greedy_multicover
 from repro.solvers.base import ComponentSolver
+
+
+class MultiCoverWSC(WSCStrategy):
+    """Greedy set multi-cover demanding ``redundancy`` distinct covers
+    of every WSC element of one component."""
+
+    def __init__(self, redundancy: int, name: str):
+        super().__init__(name)
+        self.redundancy = redundancy
+
+    def params(self) -> Tuple[object, ...]:
+        return (self.redundancy,)
+
+    def cover(
+        self, wsc: WSCInstance, component: MC3Instance
+    ) -> Tuple[WSCSolution, Dict[str, object]]:
+        demands = []
+        for element_id in range(wsc.universe_size):
+            available = len(wsc.sets_containing(element_id))
+            if available < self.redundancy:
+                prop, query_index = wsc.element_label(element_id)
+                raise UncoverableQueryError(
+                    component.queries[query_index],
+                    f"property {prop!r} of query "
+                    f"{sorted(component.queries[query_index])!r} has only "
+                    f"{available} candidate classifiers "
+                    f"(< redundancy {self.redundancy})",
+                )
+            demands.append(self.redundancy)
+        return greedy_multicover(wsc, demands), {}
 
 
 class RobustSolver(ComponentSolver):
@@ -75,35 +104,8 @@ class RobustSolver(ComponentSolver):
             raise SolverError("redundancy must be >= 1")
         self.redundancy = int(redundancy)
 
-    def cache_token(self) -> Optional[Tuple[object, ...]]:
-        return (self.name, self.redundancy)
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        space = PropertySpace.from_queries(component.queries)
-        wsc = mc3_to_wsc(component, space=space)
-        demands = []
-        for element_id in range(wsc.universe_size):
-            available = len(wsc.sets_containing(element_id))
-            if available < self.redundancy:
-                prop, query_index = wsc.element_label(element_id)
-                raise UncoverableQueryError(
-                    component.queries[query_index],
-                    f"property {prop!r} of query "
-                    f"{sorted(component.queries[query_index])!r} has only "
-                    f"{available} candidate classifiers "
-                    f"(< redundancy {self.redundancy})",
-                )
-            demands.append(self.redundancy)
-        solution = greedy_multicover(wsc, demands)
-        classifiers = {wsc.set_label(set_id) for set_id in solution.set_ids}
-        bitspace = {
-            "properties": space.size,
-            "elements": wsc.universe_size,
-            "sets": wsc.num_sets,
-        }
-        return classifiers, {"bitspace": bitspace}
+    def strategy(self) -> MultiCoverWSC:
+        return MultiCoverWSC(self.redundancy, name=self.name)
 
     def aggregate_details(
         self, outcomes: List[ComponentOutcome]

@@ -4,7 +4,8 @@ Same pipeline shape as :class:`~repro.solvers.general.GeneralSolver` —
 preprocess, reduce each property-disjoint component to Weighted Set
 Cover, cover it — but the per-component WSC solve is the
 sampling-based sub-linear greedy of Indyk et al. (see
-:mod:`repro.setcover.sampled_greedy`): gains are estimated on sampled
+:mod:`repro.setcover.sampled_greedy`, run per component by
+:class:`~repro.engine.strategies.SampledWSC`): gains are estimated on sampled
 elements, then an exact greedy repairs the residual, so huge components
 are covered without ever scanning their full universes per iteration.
 
@@ -26,32 +27,14 @@ telemetry only.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.bitspace import PropertySpace
-from repro.core.instance import MC3Instance
-from repro.core.properties import Classifier
 from repro.engine.component import ComponentOutcome
 from repro.engine.resilience import ResiliencePolicy
+from repro.engine.strategies import SampledWSC
 from repro.preprocess import ALL_STEPS
-from repro.reductions import mc3_to_wsc
-from repro.setcover import (
-    DEFAULT_EXACT_THRESHOLD,
-    DEFAULT_SAMPLE_RATES,
-    derive_seed,
-    exact_wsc,
-    greedy_wsc,
-    sampled_greedy_wsc,
-)
+from repro.setcover import DEFAULT_EXACT_THRESHOLD, DEFAULT_SAMPLE_RATES
 from repro.solvers.base import ComponentSolver
-
-#: Components with at most this many WSC elements run the gap probe
-#: (greedy costs O(elements·sets) there — cheap at this size).
-GAP_PROBE_MAX_ELEMENTS = 2000
-
-#: Exact-optimum probe bound: branch-and-bound is exponential in the
-#: number of sets, so only tiny set systems compare against OPT.
-GAP_PROBE_MAX_EXACT_SETS = 16
 
 
 class SampledSolver(ComponentSolver):
@@ -103,67 +86,14 @@ class SampledSolver(ComponentSolver):
         self.exact_threshold = int(exact_threshold)
         self.gap_probe = gap_probe
 
-    def cache_token(self) -> Optional[Tuple[object, ...]]:
-        # ``gap_probe`` is absent on purpose: probes only add telemetry,
-        # the selected classifiers are identical either way.
-        return (
-            self.name,
+    def strategy(self) -> SampledWSC:
+        return SampledWSC(
             self.seed,
-            *self.sample_rates,
+            self.sample_rates,
             self.exact_threshold,
+            gap_probe=self.gap_probe,
+            name=self.name,
         )
-
-    def solve_component(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        space = PropertySpace.from_queries(component.queries)
-        wsc = mc3_to_wsc(component, space=space)
-        component_seed = derive_seed(self.seed, component.queries)
-        stats: Dict[str, object] = {}
-        wsc_solution = sampled_greedy_wsc(
-            wsc,
-            seed=component_seed,
-            rates=self.sample_rates,
-            exact_threshold=self.exact_threshold,
-            stats=stats,
-        )
-        details: Dict[str, object] = {
-            "sampled": stats,
-            "bitspace": {
-                "properties": space.size,
-                "elements": wsc.universe_size,
-                "sets": wsc.num_sets,
-            },
-        }
-        if self.gap_probe and wsc.universe_size <= GAP_PROBE_MAX_ELEMENTS:
-            details["gap"] = self._probe_gap(wsc, component_seed)
-        return {wsc.set_label(set_id) for set_id in wsc_solution.set_ids}, details
-
-    def _probe_gap(self, wsc, component_seed: int) -> Dict[str, float]:
-        """Measure sampling quality on a component cheap enough to
-        afford reference solves.
-
-        Forces the sampling path (``exact_threshold=0``) so the probe
-        measures the estimator rather than the fallback, and compares
-        against exact-gain greedy — plus branch-and-bound OPT when the
-        set system is tiny.
-        """
-        forced = sampled_greedy_wsc(
-            wsc, seed=component_seed, rates=self.sample_rates, exact_threshold=0
-        )
-        reference = greedy_wsc(wsc)
-        probe: Dict[str, float] = {
-            "sampled_cost": forced.cost,
-            "greedy_cost": reference.cost,
-            "ratio_vs_greedy": forced.cost / reference.cost if reference.cost else 1.0,
-        }
-        if wsc.num_sets <= GAP_PROBE_MAX_EXACT_SETS:
-            optimum = exact_wsc(wsc)
-            probe["exact_cost"] = optimum.cost
-            probe["ratio_vs_exact"] = (
-                forced.cost / optimum.cost if optimum.cost else 1.0
-            )
-        return probe
 
     def aggregate_details(
         self, outcomes: List[ComponentOutcome]

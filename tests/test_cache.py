@@ -165,6 +165,11 @@ class TestBitIdentity:
         cold = make_solver("mc3-general", cache=store).solve(instance)
         warm = make_solver("mc3-general", cache=store).solve(instance)
         assert outcome_of(plain) == outcome_of(cold) == outcome_of(warm)
+        # A hit carries the rung name a fresh solve reports.
+        components = warm.details["components"]
+        rungs = {"mc3-general": components} if components else None
+        assert warm.details["engine"].get("rungs") == rungs
+        assert cold.details["engine"].get("rungs") == rungs
         warm_cache = warm.details["engine"]["cache"]
         assert warm_cache["hits"] + warm_cache["uncacheable"] == warm.details[
             "components"

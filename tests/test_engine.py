@@ -14,10 +14,11 @@ from repro.engine import (
     EXACT_K2_ROUTE,
     SolveEngine,
     exact_k2_route,
+    resolve_rung,
     size_histogram,
     solve_component_k2,
 )
-from repro.exceptions import ReproError, SolverError
+from repro.exceptions import ReductionError, ReproError, SolverError
 from repro.experiments.runner import sweep, with_jobs
 from repro.solvers import (
     GeneralSolver,
@@ -95,6 +96,16 @@ class TestParallelSequentialEquivalence:
         parallel = make_solver(name, jobs=4).solve(instance)
         assert parallel.solution.classifiers == sequential.solution.classifiers
         assert parallel.cost == sequential.cost
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_failing_rung_raises_its_original_type(self, jobs):
+        # k2-exact cannot reduce length-3 queries: the one-rung plain
+        # chain re-raises the rung's own error, not a chain summary.
+        instance = multi_component_instance(10, min_length=3, max_length=3)
+        with pytest.raises(ReproError) as excinfo:
+            SolveEngine(jobs=jobs).run(instance, resolve_rung("k2-exact"))
+        assert type(excinfo.value) is ReductionError
+        assert excinfo.value.component_index in range(3)
 
     def test_parallel_uses_process_pool(self):
         instance = multi_component_instance(1, blocks=4)

@@ -40,14 +40,13 @@ from repro.devtools.chaos import (
     ChaosWorkerCrash,
 )
 from repro.engine import (
-    FALLBACK_RUNGS,
+    STRATEGIES,
     ComponentFailure,
     PartialSolution,
     ResiliencePolicy,
     SolveEngine,
     resolve_rung,
     run_components,
-    run_components_resilient,
 )
 from repro.exceptions import (
     FallbackExhaustedError,
@@ -240,7 +239,7 @@ class TestPolicy:
             resolve_rung("nope")
         with pytest.raises(SolverError):
             resolve_rung(42)
-        for name in FALLBACK_RUNGS:
+        for name in STRATEGIES:
             assert resolve_rung(name).name == name
 
     def test_route_fallback_overrides_default_chain(self):
@@ -442,7 +441,7 @@ class TestFallbackChain:
         components = tiny_components(1)
         tasks = [(0, AlwaysFails(), components[0], None, None)]
         policy = ResiliencePolicy(fallback=(resolve_rung("greedy"),))
-        outcomes, report = run_components_resilient(tasks, jobs=1, policy=policy)
+        outcomes, report = run_components(tasks, jobs=1, policy=policy)
         assert outcomes[0].rung == "greedy"
         assert report.failures[0].rung == "always-fails"
 
@@ -480,7 +479,7 @@ class TestBreakerIntegration:
             (i, resolve_rung("greedy"), component, None, None)
             for i, component in enumerate(components)
         ]
-        outcomes, report = run_components_resilient(tasks, jobs=1, policy=policy)
+        outcomes, report = run_components(tasks, jobs=1, policy=policy)
         # Every component still got a real answer from the fallback.
         assert [o.rung for o in outcomes] == ["primal-dual"] * 8
         # Admitted primary attempts: comps 0, 1, and the probe (comp 5).
@@ -512,7 +511,7 @@ class TestBreakerIntegration:
             (i, resolve_rung("greedy"), component, None, None)
             for i, component in enumerate(components)
         ]
-        outcomes, report = run_components_resilient(tasks, jobs=1, policy=policy)
+        outcomes, report = run_components(tasks, jobs=1, policy=policy)
         assert [o.rung for o in outcomes] == [
             "primal-dual",
             "primal-dual",
@@ -540,7 +539,7 @@ class TestBreakerIntegration:
             (i, resolve_rung("greedy"), component, None, None)
             for i, component in enumerate(components)
         ]
-        outcomes, report = run_components_resilient(tasks, jobs=1, policy=policy)
+        outcomes, report = run_components(tasks, jobs=1, policy=policy)
         # Component 0 tripped the breaker; 1 and 2 were skipped outright.
         assert [o.rung for o in outcomes] == ["degraded"] * 3
         assert report.degraded == [0, 1, 2]
@@ -568,6 +567,20 @@ class TestBreakerIntegration:
 
         sequential = drive(1)
         assert sequential == drive(1)
+
+    def test_board_policy_pools_like_sequential(self):
+        # The policy, and the board's lock with it, stays in the parent:
+        # pool tasks carry only the picklable component strategy.
+        instance = multi_component_instance(25, blocks=4)
+
+        def solve(jobs):
+            policy = ResiliencePolicy(breakers=self.board())
+            return make_solver(PRIMARY, jobs=jobs, resilience=policy).solve(instance)
+
+        sequential, pooled = solve(1), solve(2)
+        assert pooled.details["engine"]["mode"] == "process-pool"
+        assert pooled.solution.classifiers == sequential.solution.classifiers
+        assert pooled.cost == sequential.cost
 
 
 # ----------------------------------------------------------------------
@@ -623,7 +636,7 @@ class TestCrashRecovery:
         policy = ResiliencePolicy(
             fallback=("primal-dual",), on_error="degrade", chaos=chaos
         )
-        outcomes, report = run_components_resilient(tasks, jobs=2, policy=policy)
+        outcomes, report = run_components(tasks, jobs=2, policy=policy)
         assert [o.rung for o in outcomes] == ["degraded", "greedy", "greedy"]
         assert report.kind_counts["crash"] == 2
         assert report.degraded == [0]
@@ -783,7 +796,7 @@ class TestExceptionTransport:
             for i, component in enumerate(components)
         ]
         policy = ResiliencePolicy(on_error="skip")
-        _, report = run_components_resilient(tasks, jobs=2, policy=policy)
+        _, report = run_components(tasks, jobs=2, policy=policy)
         assert len(report.failures) == 2
         for failure in report.failures:
             assert failure.rung == "always-fails"
@@ -864,11 +877,13 @@ class TestSurface:
         assert policy.max_retries == 2
         assert policy.fallback == ("greedy", "query-oriented")
 
-    def test_engine_without_policy_has_no_resilience_telemetry(self):
+    def test_engine_without_policy_reports_a_clean_primary_run(self):
+        # One executor for every run: without a policy the engine runs
+        # the plain one, and every component names the primary rung.
         instance = multi_component_instance(9)
         _, details = SolveEngine().run(instance, GeneralSolver())
-        assert "resilience" not in details["engine"]
-        assert "rungs" not in details["engine"]
+        assert details["engine"]["resilience"]["failures"] == 0
+        assert details["engine"]["rungs"] == {PRIMARY: details["components"]}
 
     def test_chaos_error_is_repro_error(self):
         assert issubclass(ChaosError, ReproError)

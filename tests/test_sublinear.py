@@ -20,7 +20,7 @@ from repro.datasets.scale import (
     scale_tier_workload,
 )
 from repro.datasets.synthetic import SyntheticQueryStream
-from repro.engine.resilience import FALLBACK_RUNGS, ResiliencePolicy, resolve_rung
+from repro.engine.resilience import STRATEGIES, ResiliencePolicy, resolve_rung
 from repro.engine.routing import SAMPLED_WSC_ROUTE, sampled_wsc_route
 from repro.exceptions import DatasetError, SolverError
 from repro.setcover import (
@@ -309,7 +309,7 @@ class TestSampledSolverIntegration:
         assert base == make_solver("mc3-sampled", seed=1, gap_probe=False).cache_token()
 
     def test_sampled_rung_registered_and_solves(self):
-        assert "sampled" in FALLBACK_RUNGS
+        assert "sampled" in STRATEGIES
         rung = resolve_rung("sampled")
         assert rung.name == "sampled"
         instance = synthetic(200, seed=2)
