@@ -27,7 +27,7 @@ import random
 import statistics
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -60,14 +60,22 @@ from repro.solvers import available_solvers, make_solver  # noqa: E402
 # ----------------------------------------------------------------------
 
 
-def pruning_workload(num_properties: int, num_queries: int, seed: int = 7):
+def pruning_workload(
+    num_properties: int,
+    num_queries: int,
+    seed: int = 7,
+    lengths: Tuple[int, int] = (5, 7),
+):
     """One property-connected component with long queries, all subsets
-    priced — the regime where the O(3^len) decomposition loop dominates."""
+    priced — the regime where the O(3^len) decomposition loop dominates.
+    ``lengths`` bounds the query lengths: 5–7 stays on the full two-cover
+    family, 8–10 reaches the two-partition family above
+    ``FULL_ENUMERATION_MAX_LENGTH``."""
     rng = random.Random(seed)
     names = [f"p{i:02d}" for i in range(num_properties)]
     queries = []
     for _ in range(num_queries):
-        length = rng.randint(5, min(7, num_properties))
+        length = rng.randint(lengths[0], min(lengths[1], num_properties))
         queries.append(frozenset(rng.sample(names, length)))
     table = {}
     for q in queries:
@@ -165,8 +173,15 @@ def workload_entry(
     }
 
 
-def bench_pruning(repeats: int, num_properties: int, num_queries: int) -> Dict:
-    queries, cost_model = pruning_workload(num_properties, num_queries)
+def bench_pruning(
+    repeats: int,
+    num_properties: int,
+    num_queries: int,
+    lengths: Tuple[int, int] = (5, 7),
+) -> Dict:
+    queries, cost_model = pruning_workload(
+        num_properties, num_queries, lengths=lengths
+    )
 
     def run_new():
         pruner = DominatedPruner(queries, OverlayCost(cost_model))
@@ -188,7 +203,11 @@ def bench_pruning(repeats: int, num_properties: int, num_queries: int) -> Dict:
         )
 
     return workload_entry(
-        {"properties": num_properties, "queries": num_queries},
+        {
+            "properties": num_properties,
+            "queries": num_queries,
+            "query_lengths": list(lengths),
+        },
         run_new,
         median_seconds(run_ref, repeats),
         repeats,
@@ -302,6 +321,7 @@ def run_all(smoke: bool = False, repeats: int = 5) -> Dict:
         repeats = 1
         sizes = {
             "pruning": (10, 6),
+            "pruning_long": (10, 2),
             "mincover": 7,
             "greedy": (200, 400),
             "bucket_greedy": (200, 400),
@@ -309,12 +329,16 @@ def run_all(smoke: bool = False, repeats: int = 5) -> Dict:
     else:
         sizes = {
             "pruning": (14, 12),
+            "pruning_long": (14, 4),
             "mincover": 10,
             "greedy": (2000, 3000),
             "bucket_greedy": (2000, 3000),
         }
     workloads = {
         "dominated_pruning": bench_pruning(repeats, *sizes["pruning"]),
+        "dominated_pruning_long": bench_pruning(
+            repeats, *sizes["pruning_long"], lengths=(8, 10)
+        ),
         "min_cover_dp": bench_mincover(repeats, sizes["mincover"]),
         "greedy_wsc": bench_greedy(repeats, *sizes["greedy"]),
         "bucket_greedy_wsc": bench_bucket_greedy(repeats, *sizes["bucket_greedy"]),

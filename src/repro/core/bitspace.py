@@ -149,7 +149,8 @@ class PropertySpace:
                     sub |= bit
                 yield sub
 
-    def iter_two_partition_masks(self, mask: int) -> Iterator[Tuple[int, int]]:
+    @staticmethod
+    def iter_two_partition_masks(mask: int) -> Iterator[Tuple[int, int]]:
         """Unordered pairs ``(a, b)`` of non-empty *disjoint* masks with
         ``a | b == mask`` — the family of
         :func:`~repro.core.properties.iter_two_partitions` (enumeration
@@ -163,7 +164,8 @@ class PropertySpace:
             yield mask ^ sub, sub
             sub = (sub - 1) & rest
 
-    def iter_two_cover_masks(self, mask: int) -> Iterator[Tuple[int, int]]:
+    @staticmethod
+    def iter_two_cover_masks(mask: int) -> Iterator[Tuple[int, int]]:
         """Unordered pairs of non-empty *proper* submasks with union
         ``mask``, including overlapping pairs — the family of
         :func:`~repro.core.properties.iter_two_covers` (``O(3^len)``

@@ -134,7 +134,7 @@ class TableCost(CostModel):
         for key, weight in table.items():
             clf = parse_classifier_key(key)
             self._table[clf] = validate_weight(weight, clf)
-        self.default = validate_weight(default) if math.isfinite(default) else float(default)
+        self.default = validate_weight(default)
         self._token: Optional[bytes] = None
 
     def cost(self, clf: Classifier) -> float:

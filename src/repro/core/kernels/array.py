@@ -21,11 +21,9 @@ Bit-identity strategy, kernel by kernel:
   remaining suffix after each selection.  Bucket keys stay scalar
   ``math.log`` — ``np.log`` may differ in the last ulp, and a one-ulp
   bucket flip would change selections.
-* dominated pruning — subclasses the pyjit pruner; only the
-  decomposition min-sweep (the measured hot loop) is vectorized, over
-  dense per-universe-mask cost/effective arrays kept in sync through
-  the pruner's mutation hooks.  ``np.minimum``/``+``/``min`` perform
-  the same IEEE-754 double operations as the scalar loop.
+* dominated pruning — the pyjit pruner itself.  Its per-length pair
+  tables already run the decomposition sweep in C, and a numpy gather
+  over per-universe arrays measured twice as slow.
 * ``min_cover_dp`` — same bound-pruned skeleton as pyjit; each expanded
   state shortlists improving candidates vectorially against a snapshot
   of the DP row, then applies them scalar-and-in-order (the snapshot
@@ -278,107 +276,6 @@ def bucket_greedy_wsc(instance: WSCInstance, epsilon: float = 0.1) -> WSCSolutio
     return solution
 
 
-class ArrayDominatedPruner(pyjit.DominatedPruner):
-    """Dominated pruning with the decomposition min-sweep vectorized.
-
-    The sweep computes exactly ``min over pairs of (min(effective,
-    direct)(a) + min(effective, direct)(b))`` with the same float64
-    additions and comparisons as the scalar loop, over dense arrays
-    indexed by universe position.  The arrays are built lazily on the
-    first sweep (so they price the overlay as of that moment, like the
-    scalar reads would) and kept in sync by the mutation hooks.
-    """
-
-    def __init__(
-        self,
-        queries: Sequence[Query],
-        overlay: OverlayCost,
-        max_classifier_length: Optional[int] = None,
-    ):
-        _require_numpy()
-        super().__init__(queries, overlay, max_classifier_length)
-        self._ids: Optional[Dict[int, int]] = None  # universe mask -> dense id
-        self._cost_arr = None
-        self._eff_arr = None
-        self._pair_ids: Dict[int, Tuple[object, object]] = {}
-
-    def _ensure_arrays(self) -> None:
-        if self._ids is not None:
-            return
-        universe = self._universe()
-        self._ids = {mask: position for position, mask in enumerate(universe)}
-        cost = self._cost.cost
-        self._cost_arr = np.fromiter(
-            (cost(mask) for mask in universe), dtype=np.float64, count=len(universe)
-        )
-        # +inf is "no memo entry": min(inf, direct) == direct, matching
-        # the scalar miss path exactly.
-        self._eff_arr = np.full(len(universe), np.inf)
-        for mask, value in self._effective.items():
-            position = self._ids.get(mask)
-            if position is not None:
-                self._eff_arr[position] = value
-
-    # -- hook overrides: mirror scalar state into the arrays -----------
-
-    def _set_effective(self, mask: int, value: float) -> None:
-        super()._set_effective(mask, value)
-        if self._ids is not None:
-            position = self._ids.get(mask)
-            if position is not None:
-                self._eff_arr[position] = value
-
-    def _drop_effective(self, mask: int) -> None:
-        super()._drop_effective(mask)
-        if self._ids is not None:
-            position = self._ids.get(mask)
-            if position is not None:
-                self._eff_arr[position] = np.inf
-
-    def _apply_remove(self, mask: int) -> None:
-        super()._apply_remove(mask)
-        if self._ids is not None:
-            position = self._ids.get(mask)
-            if position is not None:
-                self._cost_arr[position] = np.inf
-
-    def _apply_select(self, mask: int) -> None:
-        super()._apply_select(mask)
-        if self._ids is not None:
-            # Forced selections may sit outside the pruner universe when
-            # max_classifier_length < the query length (the k=2 closed
-            # form can pick the whole query), hence the .get.
-            position = self._ids.get(mask)
-            if position is not None:
-                self._cost_arr[position] = 0.0
-
-    # ------------------------------------------------------------------
-
-    def _cheapest_decomposition(self, mask: int) -> float:
-        self._ensure_arrays()
-        pair = self._pair_ids.get(mask)
-        if pair is None:
-            ids = self._ids
-            pairs = self._decompositions(mask)
-            left = np.fromiter(
-                (ids[a] for a, _ in pairs), dtype=np.int64, count=len(pairs)
-            )
-            right = np.fromiter(
-                (ids[b] for _, b in pairs), dtype=np.int64, count=len(pairs)
-            )
-            pair = (left, right)
-            self._pair_ids[mask] = pair
-        left, right = pair
-        if left.size == 0:
-            return math.inf
-        eff = self._eff_arr
-        cost = self._cost_arr
-        values = np.minimum(eff[left], cost[left]) + np.minimum(
-            eff[right], cost[right]
-        )
-        return float(values.min())
-
-
 def min_cover_dp(full: int, usable: Sequence[Tuple[int, float]]) -> MinCoverOutcome:
     """Bound-pruned DP with vectorized candidate shortlisting."""
     _require_numpy()
@@ -484,8 +381,8 @@ class ArrayBackend:
         queries: Sequence[Query],
         overlay: OverlayCost,
         max_classifier_length: Optional[int] = None,
-    ) -> ArrayDominatedPruner:
-        return ArrayDominatedPruner(queries, overlay, max_classifier_length)
+    ) -> pyjit.DominatedPruner:
+        return pyjit.DominatedPruner(queries, overlay, max_classifier_length)
 
     def greedy_wsc(self, instance: WSCInstance) -> WSCSolution:
         return greedy_wsc(instance)

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from operator import add, itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bitspace import MaskCost, PropertySpace, mask_union, popcount
 from repro.core.costs import OverlayCost
@@ -44,6 +46,41 @@ from repro.exceptions import InvalidInstanceError, SolverError
 from repro.setcover.instance import WSCInstance, WSCSolution
 
 
+#: Per-length decomposition tables, shared by every pruner: length ``L``
+#: maps to ``(get_a, get_b)``, two itemgetters over a classifier's
+#: ``2^L - 1`` non-empty submask weights (see :func:`_pair_table`).
+_PAIR_TABLES: Dict[int, Tuple[Callable, Callable]] = {}
+
+
+def _pair_table(length: int) -> Tuple[Callable, Callable]:
+    """The decomposition family of every length-``length`` classifier.
+
+    The family (Algorithm 1, line 8) depends only on the length: it is
+    the two-cover (or, above ``FULL_ENUMERATION_MAX_LENGTH``, the
+    two-partition) family of the local full mask ``(1 << length) - 1``,
+    spread onto the classifier's bits.  Local mask ``i`` reads position
+    ``i - 1`` of the weight list ``_cheapest_decomposition`` builds.
+    Lengths start at 3 (``_pass_remove`` inlines length 2): every such
+    family has at least three pairs, so the getters return tuples, where
+    a one-index ``itemgetter`` would return a scalar.
+    """
+    table = _PAIR_TABLES.get(length)
+    if table is None:
+        if length < 3:
+            raise ValueError(f"no pair table for length {length}")
+        full = (1 << length) - 1
+        if length <= FULL_ENUMERATION_MAX_LENGTH:
+            pairs = list(PropertySpace.iter_two_cover_masks(full))
+        else:
+            pairs = list(PropertySpace.iter_two_partition_masks(full))
+        table = (
+            itemgetter(*[a - 1 for a, _ in pairs]),
+            itemgetter(*[b - 1 for _, b in pairs]),
+        )
+        _PAIR_TABLES[length] = table
+    return table
+
+
 class DominatedPruner:
     """Stateful step-3 pass over one property-disjoint component.
 
@@ -57,12 +94,6 @@ class DominatedPruner:
     left with a single irredundant cover get that cover *selected*
     (line 10) and the pass repeats for classifiers intersecting the
     selections (line 11).
-
-    State mutations that the effective-weight sweep depends on go
-    through the ``_set_effective`` / ``_drop_effective`` /
-    ``_apply_remove`` / ``_apply_select`` hooks so array-oriented
-    subclasses can mirror them into vectorized storage without touching
-    the control flow (which is what makes the decisions bit-identical).
     """
 
     def __init__(
@@ -86,26 +117,6 @@ class DominatedPruner:
         self._removed_masks: Set[int] = set()
         self.forced: List[Classifier] = []
         self._universe_cache: Optional[List[int]] = None
-        # Decomposition pairs per classifier never change (only their
-        # costs do), so they are materialised once and reused across the
-        # fixpoint re-passes.
-        self._decomposition_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-
-    # -- mutation hooks (overridden by array subclasses) ---------------
-
-    def _set_effective(self, mask: int, value: float) -> None:
-        self._effective[mask] = value
-
-    def _drop_effective(self, mask: int) -> None:
-        self._effective.pop(mask, None)
-
-    def _apply_remove(self, mask: int) -> None:
-        self._cost.remove(mask)
-
-    def _apply_select(self, mask: int) -> None:
-        self._cost.select(mask)
-
-    # ------------------------------------------------------------------
 
     def _universe(self) -> List[int]:
         """All candidate classifier masks of the component, by increasing
@@ -136,40 +147,36 @@ class DominatedPruner:
             return direct
         return min(memo, direct)
 
-    def _decompositions(self, mask: int) -> Tuple[Tuple[int, int], ...]:
-        cached = self._decomposition_cache.get(mask)
-        if cached is not None:
-            return cached
-        length = popcount(mask)
-        if length == 2:
-            # The only pair of proper submasks with union XY is (X, Y).
-            low = mask & -mask
-            pairs: Tuple[Tuple[int, int], ...] = ((low, mask ^ low),)
-        elif length <= FULL_ENUMERATION_MAX_LENGTH:
-            pairs = tuple(self.space.iter_two_cover_masks(mask))
-        else:
-            pairs = tuple(self.space.iter_two_partition_masks(mask))
-        self._decomposition_cache[mask] = pairs
-        return pairs
-
     def _cheapest_decomposition(self, mask: int) -> float:
-        best = math.inf
-        memo = self._effective
-        cost = self._cost.cost
-        for part_a, part_b in self._decompositions(mask):
-            # Inlined effective_weight: min(memoised decomposition, direct).
-            weight = cost(part_a)
-            cached = memo.get(part_a)
-            if cached is not None and cached < weight:
-                weight = cached
-            direct_b = cost(part_b)
-            cached_b = memo.get(part_b)
-            if cached_b is not None and cached_b < direct_b:
-                direct_b = cached_b
-            weight += direct_b
-            if weight < best:
-                best = weight
-        return best
+        """Cheapest ``W_eff(a) + W_eff(b)`` over the length's pair table.
+
+        ``subs`` lists the proper non-empty submasks of ``mask`` in
+        local-index order (doubling per bit, low bit first), so the
+        table's indices read each part's effective weight from one list
+        built with one read per submask.  ``min(price, memo)`` keeps the
+        price on ties, as the per-pair loop this replaces did.  The pair
+        sums and their minimum run in C: the same IEEE additions, in the
+        same pair order, as that loop (prices are never NaN, so ``min``
+        starting from the first sum rather than ``inf`` changes
+        nothing).
+        """
+        subs = [0]
+        rest = mask
+        while rest:
+            low = rest & -rest
+            subs += [sub | low for sub in subs]
+            rest ^= low
+        # Pairs use proper submasks only: drop 0 and ``mask`` itself.
+        subs = subs[1:-1]
+        get_a, get_b = _pair_table(popcount(mask))
+        weights = list(
+            map(
+                min,
+                map(self._cost.cost, subs),
+                map(self._effective.get, subs, repeat(math.inf)),
+            )
+        )
+        return min(map(add, get_a(weights), get_b(weights)))
 
     # ------------------------------------------------------------------
 
@@ -201,9 +208,9 @@ class DominatedPruner:
             else:
                 decomposition_cost = self._cheapest_decomposition(mask)
             direct = cost(mask)
-            self._set_effective(mask, min(direct, decomposition_cost))
+            self._effective[mask] = min(direct, decomposition_cost)
             if math.isfinite(direct) and decomposition_cost <= direct:
-                self._apply_remove(mask)
+                self._cost.remove(mask)
                 removed_masks.add(mask)
                 self.removed.add(self.space.set_of(mask))
                 removed_count += 1
@@ -236,7 +243,7 @@ class DominatedPruner:
             if unique is not None:
                 for mask in unique:
                     if self._cost.cost(mask) > 0:
-                        self._apply_select(mask)
+                        self._cost.select(mask)
                         newly_forced.append(mask)
         return newly_forced
 
@@ -340,7 +347,7 @@ class DominatedPruner:
                     if mask & affected_mask and mask not in self._removed_masks:
                         touched.add(mask)
                         # Invalidate memo so the zeroed selections are seen.
-                        self._drop_effective(mask)
+                        self._effective.pop(mask, None)
             total_removed += self._pass_remove(touched)
             pending = still_uncovered
         return total_removed, self.forced

@@ -343,7 +343,9 @@ class ReferenceDominatedPruner:
             affected_props = set().union(*forced_now)
             affected: List[Query] = []
             seen_affected = set()
-            for prop in affected_props:
+            # Sorted: set order would follow PYTHONHASHSEED, and the
+            # order of ``affected`` decides the next round's forced order.
+            for prop in sorted(affected_props):
                 for q in queries_by_property.get(prop, ()):
                     if q in alive and q not in seen_affected:
                         seen_affected.add(q)

@@ -309,6 +309,11 @@ class SolveEngine:
                 continue
             stats.hits += 1
             classifiers, details = decoded
+            # The gap probe's result is fixed by the token, but whether
+            # a run probes is not part of it: only a probing strategy
+            # reports a stored probe.
+            if not getattr(target, "gap_probe", False):
+                details.pop("gap", None)
             hit_outcomes.append(
                 ComponentOutcome(
                     index,

@@ -10,8 +10,10 @@ every registered solver.
 """
 
 import math
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,8 @@ from repro.core.bitspace import (
     mask_union,
     popcount,
 )
+from repro.core.kernels.api import FULL_ENUMERATION_MAX_LENGTH
+from repro.core.kernels.pyjit import _pair_table
 from repro.core.mincover import enumerate_covers, min_cover
 from repro.core.properties import (
     iter_nonempty_subsets,
@@ -181,6 +185,93 @@ class TestDominatedPrunerEquivalence:
                 assert pruner.effective_weight(clf) == reference.effective_weight(
                     clf
                 )
+
+
+def _long_query_instance(seed):
+    """Queries of length 5–10 over a 12-property pool.
+
+    Prices mix random integers, exact sums of the singleton prices
+    (decomposition ties, which remove on ``<=``), zeros and infinite
+    (missing) entries, so every branch of the pruner's comparison sees
+    both outcomes.  Odd seeds add a length-3 query that only its
+    singletons cover: forcing them re-prices the long classifiers that
+    share a property with it.
+    """
+    rng = random.Random(seed)
+    pool = [f"p{i:02d}" for i in range(12)]
+    queries = [
+        frozenset(rng.sample(pool, rng.randint(5, 10)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    unit = {prop: float(rng.randint(0, 6)) for prop in pool}
+    table = {}
+    if seed % 2:
+        short = frozenset(rng.sample(sorted(queries[0]), 3))
+        queries.append(short)
+        for prop in short:
+            table[frozenset((prop,))] = unit[prop] + 1.0
+        for clf in iter_nonempty_subsets(short):
+            table.setdefault(clf, math.inf)
+    for q in queries:
+        for clf in iter_nonempty_subsets(q):
+            if clf in table:
+                continue
+            draw = rng.random()
+            if draw < 0.2 and len(clf) > 1:
+                continue  # infinite: no classifier offered
+            if draw < 0.55:
+                table[clf] = sum(unit[prop] for prop in clf)
+            else:
+                table[clf] = float(rng.randint(0, 4 * len(clf)))
+    return MC3Instance(sorted(queries, key=sorted), TableCost(table))
+
+
+class TestLongClassifierPruning:
+    """Lengths 5–7 take the full two-cover family and lengths 8–10 the
+    two-partition family; both run against the frozenset reference."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_run_matches_reference(self, seed):
+        instance = _long_query_instance(seed)
+        max_length = None if seed % 3 else 8
+        overlay_new = OverlayCost(instance.cost)
+        overlay_ref = OverlayCost(instance.cost)
+        pruner = DominatedPruner(instance.queries, overlay_new, max_length)
+        reference = ReferenceDominatedPruner(
+            instance.queries, overlay_ref, max_length
+        )
+        assert pruner.run(instance.queries) == reference.run(instance.queries)
+        assert pruner.forced == reference.forced
+        assert pruner.removed == reference.removed
+        assert overlay_new.overrides == overlay_ref.overrides
+        for q in instance.queries:
+            for clf in iter_nonempty_subsets(q, max_length):
+                assert pruner.effective_weight(clf) == reference.effective_weight(
+                    clf
+                )
+
+    @pytest.mark.parametrize("length", range(3, 11))
+    def test_pair_table_maps_onto_any_mask(self, length):
+        rng = random.Random(length)
+        mask = 0
+        for bit in rng.sample(range(16), length):
+            mask |= 1 << bit
+        subs = [0]
+        for bit in iter_bits(mask):
+            subs += [sub | (1 << bit) for sub in subs]
+        del subs[0]
+        get_a, get_b = _pair_table(length)
+        mapped = list(zip(get_a(subs), get_b(subs)))
+        if length <= FULL_ENUMERATION_MAX_LENGTH:
+            expected = list(PropertySpace.iter_two_cover_masks(mask))
+        else:
+            expected = list(PropertySpace.iter_two_partition_masks(mask))
+        assert mapped == expected
+
+    def test_no_pair_table_below_length_three(self):
+        # A one-pair family would make itemgetter return a scalar.
+        with pytest.raises(ValueError):
+            _pair_table(2)
 
 
 class TestReductionEquivalence:

@@ -83,6 +83,12 @@ class TestTableCost:
         with pytest.raises(InvalidInstanceError):
             TableCost({"a": -1})
 
+    @pytest.mark.parametrize("default", [math.nan, -math.inf])
+    def test_rejects_nan_and_negative_infinite_default(self, default):
+        # Dominated pruning's min over pair sums assumes no NaN price.
+        with pytest.raises(InvalidInstanceError):
+            TableCost({"a": 1.0}, default=default)
+
     def test_contains_and_len(self):
         cost = TableCost({"a": 1, "a b": 2})
         assert frozenset("a") in cost

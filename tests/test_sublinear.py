@@ -20,6 +20,7 @@ from repro.datasets.scale import (
     scale_tier_workload,
 )
 from repro.datasets.synthetic import SyntheticQueryStream
+from repro.engine.cache import MemorySolutionCache
 from repro.engine.resilience import STRATEGIES, ResiliencePolicy, resolve_rung
 from repro.engine.routing import SAMPLED_WSC_ROUTE, sampled_wsc_route
 from repro.exceptions import DatasetError, SolverError
@@ -296,6 +297,25 @@ class TestSampledSolverIntegration:
             synthetic(300, seed=5)
         )
         assert "approx_gap" not in result.details["engine"]
+
+    def test_gap_probe_off_hit_reports_no_gap(self):
+        # gap_probe is outside the cache token, so a probe-off run hits
+        # the entries a probe-on run stored; it must not report their
+        # probe, while a second probe-on run still does.
+        store = MemorySolutionCache()
+        instance = synthetic(300, seed=5)
+        probed = make_solver("mc3-sampled", seed=11, cache=store).solve(instance)
+        assert "approx_gap" in probed.details["engine"]
+        plain = make_solver(
+            "mc3-sampled", seed=11, gap_probe=False, cache=store
+        ).solve(instance)
+        assert plain.details["engine"]["cache"]["hits"] >= 1
+        assert "approx_gap" not in plain.details["engine"]
+        assert plain.solution.classifiers == probed.solution.classifiers
+        again = make_solver("mc3-sampled", seed=11, cache=store).solve(instance)
+        assert again.details["engine"]["approx_gap"] == probed.details["engine"][
+            "approx_gap"
+        ]
 
     def test_cache_token_names_sampling_knobs(self):
         base = make_solver("mc3-sampled", seed=1).cache_token()
