@@ -7,6 +7,7 @@ k = 2 reduction; all kernels must return the same optimal value.
 
 import pytest
 
+from repro.core.costs import CallableCost
 from repro.datasets import synthetic_k2
 from repro.flow import ALGORITHMS, max_flow
 from repro.preprocess import preprocess
@@ -24,7 +25,13 @@ def wvc_graph():
     queries = [q for component in prep.components for q in component.queries]
     if not queries:  # pragma: no cover - depends on the draw
         pytest.skip("preprocessing covered the whole load")
-    return mc3_to_bipartite_wvc(queries, prep.overlay)
+    # Each residual component carries its own prices; a classifier is
+    # priced by the component that holds its properties.
+    component_of = {
+        prop: component for component in prep.components for prop in component.properties
+    }
+    cost = CallableCost(lambda clf: component_of[next(iter(clf))].weight(clf))
+    return mc3_to_bipartite_wvc(queries, cost)
 
 
 @pytest.fixture(scope="module")

@@ -31,7 +31,7 @@ import struct
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.costs import CostModel, OverlayCost
+from repro.core.costs import CostModel
 from repro.core.properties import Classifier, PropertySet, Query
 
 INFINITY = math.inf
@@ -191,15 +191,13 @@ class PropertySpace:
 
 
 class MaskCost:
-    """Mask-keyed cost overlay over a component's frozenset cost model.
+    """Mask-keyed price memo over a component's frozenset cost model.
 
     Reads are memoised by mask (``int`` hashing instead of frozenset
-    hashing) and :meth:`select` / :meth:`remove` write *through* to the
-    underlying :class:`~repro.core.costs.OverlayCost`, so the rest of
-    the pipeline — which keeps pricing by frozenset — observes every
-    mask-level decision.  The cache stays coherent because the owning
-    pass is the only writer while it runs (preprocessing components are
-    property-disjoint, so two pruners never share classifiers).
+    hashing).  :meth:`select` / :meth:`remove` record a decision in the
+    memo only: the owning pass is the one reader of its decisions while
+    it runs, and it hands them to its caller itself, so the base model
+    is never written.
     """
 
     __slots__ = ("space", "base", "_cache")
@@ -217,17 +215,11 @@ class MaskCost:
         return cached
 
     def select(self, mask: int) -> None:
-        """Weight 0 (selected), here and in the base overlay."""
-        base = self.base
-        if isinstance(base, OverlayCost):
-            base.select(self.space.set_of(mask))
+        """Weight 0 (selected)."""
         self._cache[mask] = 0.0
 
     def remove(self, mask: int) -> None:
-        """Weight ``∞`` (removed), here and in the base overlay."""
-        base = self.base
-        if isinstance(base, OverlayCost):
-            base.remove(self.space.set_of(mask))
+        """Weight ``∞`` (removed)."""
         self._cache[mask] = INFINITY
 
     def stats(self) -> Dict[str, int]:
@@ -309,8 +301,10 @@ def component_fingerprint(
     component's cost chain advertises a
     :meth:`~repro.core.costs.CostModel.content_token` (tables, overlays,
     every shipped model except opaque callables), that digest is fed
-    directly — it is cached on the model, so a 250-component run pays
-    for it once.  Otherwise every candidate classifier the solvers may
+    directly.  A residual component's overlay digests the base model's
+    token (cached on the model, so components sharing a model pay for it
+    once) and the component's own price table, nothing else.  Otherwise
+    every candidate classifier the solvers may
     consider (all submasks of the queries up to
     ``max_classifier_length``) is priced through ``component.weight``
     so overlay select/remove state is captured exactly, floats encoded
@@ -343,7 +337,7 @@ def component_fingerprint(
         cost_token = token_of()
     if cost_token is not None:
         # Content-token fast path: the cost chain digests its own
-        # pricing (cached across components and runs), so candidates
+        # pricing (cached on each model of the chain), so candidates
         # need not be priced one by one.  Domain-separated from the
         # enumerated path — the two encodings can never collide.
         _feed_text(digest, "costs:token")

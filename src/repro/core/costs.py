@@ -27,7 +27,8 @@ Concrete models:
   classifiers at ``∞``.
 * :class:`OverlayCost` — decorator with per-classifier overrides, used by
   preprocessing to "select" (weight 0) and "remove" (weight ``∞``)
-  classifiers without copying the underlying model.
+  classifiers without copying the underlying model, and to hand each
+  residual component the prices of its own candidate classifiers.
 """
 
 from __future__ import annotations
@@ -331,10 +332,10 @@ class OverlayCost(CostModel):
         return self.overrides.get(clf) == INFINITY
 
     def content_token(self) -> Optional[bytes]:
-        # Cached between mutations: preprocessing batches all of its
-        # select/remove edits before any fingerprint runs, so every
-        # component of a run shares one digest.  Mutate overrides only
-        # through select/remove — a direct dict write would go unseen.
+        # Cached between mutations: a residual component's overlay is
+        # never edited after preprocessing builds it, so its digest is
+        # computed once.  Mutate overrides only through select/remove —
+        # a direct dict write would go unseen.
         base = self.base.content_token()
         if base is None:
             return None

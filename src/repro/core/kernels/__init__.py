@@ -1,9 +1,11 @@
-"""Pluggable backends for the four batch mask kernels.
+"""Pluggable backends for the batch mask kernels.
 
-Public surface: the contracts in :mod:`repro.core.kernels.api` and the
-registry in :mod:`repro.core.kernels.registry`.  Implementation modules
-(``pyjit``, ``array``) are internal — import them only through the
-registry (reprolint RPL203).
+Public surface: the contracts in :mod:`repro.core.kernels.api`, the
+registry in :mod:`repro.core.kernels.registry`, and the step-3
+:class:`DominatedPruner`, which has one implementation for every
+backend.  Implementation modules
+(``pyjit``, ``array``) are internal — import them only through this
+package (reprolint RPL203).
 """
 
 from repro.core.kernels.api import (
@@ -13,7 +15,6 @@ from repro.core.kernels.api import (
     FULL_ENUMERATION_MAX_LENGTH,
     KernelBackend,
     MinCoverOutcome,
-    PrunesDominated,
     describe,
 )
 from repro.core.kernels.registry import (
@@ -29,17 +30,18 @@ from repro.core.kernels.registry import (
     set_default_backend,
     use_backend,
 )
+from repro.core.kernels.pyjit import DominatedPruner
 
 __all__ = [
     "AUTO",
     "BACKEND_ENV_VAR",
+    "DominatedPruner",
     "FORCED_COVER_MAX_CANDIDATES",
     "FORCED_COVER_MAX_LENGTH",
     "FORCED_COVER_NODE_BUDGET",
     "FULL_ENUMERATION_MAX_LENGTH",
     "KernelBackend",
     "MinCoverOutcome",
-    "PrunesDominated",
     "available_backends",
     "backend_available",
     "backend_choices",

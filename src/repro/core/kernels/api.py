@@ -1,13 +1,15 @@
 """Typed contracts for the batch mask kernels.
 
-The four hot paths the bitset rewrite produced — dominated-classifier
-pruning (Algorithm 1 step 3), Chvátal greedy WSC, the bucketed greedy
-[CKW'10], and the single-query min-cover subset DP — share one shape:
-they take interned integer bitmasks in and hand deterministic,
-bit-identical decisions back.  A :class:`KernelBackend` bundles one
-implementation of all four behind that contract so the engine can pick
-an implementation per run (or per route) without any caller knowing
-which one it got.
+The hot paths the bitset rewrite produced — Chvátal greedy WSC, the
+bucketed greedy [CKW'10], the single-query min-cover subset DP and the
+sampled greedy's gain counts — share one shape: they take interned
+integer bitmasks in and hand deterministic, bit-identical decisions
+back.  A :class:`KernelBackend` bundles one implementation of each
+behind that contract so the engine can pick an implementation per run
+(or per route) without any caller knowing which one it got.
+Dominated-classifier pruning (Algorithm 1 step 3) has a single
+implementation, the pyjit pruner, which the package exports as
+:class:`~repro.core.kernels.DominatedPruner`.
 
 Two backends ship: ``pyjit`` (pure-python mask arithmetic, always
 available) and ``array`` (numpy column-packed masks, available when a
@@ -31,7 +33,6 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
     runtime_checkable,
 )
@@ -40,8 +41,6 @@ if TYPE_CHECKING:  # runtime-import-free: this module sits below
     # core/mincover and setcover in the import graph (both shims import
     # the registry, which imports this), so the model types are
     # annotation-only here.
-    from repro.core.costs import OverlayCost
-    from repro.core.properties import Classifier, Query
     from repro.setcover.instance import WSCInstance, WSCSolution
 
 # ----------------------------------------------------------------------
@@ -74,36 +73,12 @@ MinCoverOutcome = Optional[Tuple[float, List[int]]]
 
 
 @runtime_checkable
-class PrunesDominated(Protocol):
-    """Surface of a dominated pruner instance (Algorithm 1 step 3).
-
-    Matches the historical ``DominatedPruner`` class exactly, so
-    backends may subclass the pyjit pruner or reimplement it wholesale.
-    """
-
-    queries: List[Query]
-    overlay: OverlayCost
-    removed: Set[Classifier]
-    forced: List[Classifier]
-
-    def effective_weight(self, clf: Classifier) -> float:
-        """Weight of ``clf`` or of its cheapest recorded decomposition."""
-        ...
-
-    def run(self, uncovered: Sequence[Query]) -> Tuple[int, List[Classifier]]:
-        """Run removal + forced-cover detection to a fixpoint."""
-        ...
-
-
-@runtime_checkable
 class KernelBackend(Protocol):
-    """One complete implementation of the four batch kernels.
+    """One complete implementation of the batch kernels.
 
     Contracts (identical across backends, checked against
     :mod:`repro.core.reference`):
 
-    * ``make_dominated_pruner`` — a stateful step-3 pass over one
-      property-disjoint component, writing through to ``overlay``;
     * ``greedy_wsc`` — Chvátal greedy; ties on cost/fresh resolve to the
       lowest set id;
     * ``bucket_greedy_wsc`` — the CKW'10 bucketed greedy with scalar
@@ -119,14 +94,6 @@ class KernelBackend(Protocol):
     """
 
     name: str
-
-    def make_dominated_pruner(
-        self,
-        queries: Sequence[Query],
-        overlay: OverlayCost,
-        max_classifier_length: Optional[int] = None,
-    ) -> PrunesDominated:
-        ...
 
     def greedy_wsc(self, instance: WSCInstance) -> WSCSolution:
         ...
@@ -150,7 +117,6 @@ def describe(backend: KernelBackend) -> Dict[str, object]:
     return {
         "name": backend.name,
         "kernels": [
-            "dominated_pruning",
             "greedy_wsc",
             "bucket_greedy_wsc",
             "min_cover_dp",

@@ -21,9 +21,6 @@ Bit-identity strategy, kernel by kernel:
   remaining suffix after each selection.  Bucket keys stay scalar
   ``math.log`` — ``np.log`` may differ in the last ulp, and a one-ulp
   bucket flip would change selections.
-* dominated pruning — the pyjit pruner itself.  Its per-length pair
-  tables already run the decomposition sweep in C, and a numpy gather
-  over per-universe arrays measured twice as slow.
 * ``min_cover_dp`` — same bound-pruned skeleton as pyjit; each expanded
   state shortlists improving candidates vectorially against a snapshot
   of the DP row, then applies them scalar-and-in-order (the snapshot
@@ -43,10 +40,8 @@ import math
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.costs import OverlayCost
 from repro.core.kernels import pyjit
 from repro.core.kernels.api import MinCoverOutcome
-from repro.core.properties import Query
 from repro.exceptions import InvalidInstanceError, SolverError
 from repro.setcover.instance import WSCInstance, WSCSolution
 
@@ -375,14 +370,6 @@ class ArrayBackend:
 
     def __init__(self) -> None:
         _require_numpy()
-
-    def make_dominated_pruner(
-        self,
-        queries: Sequence[Query],
-        overlay: OverlayCost,
-        max_classifier_length: Optional[int] = None,
-    ) -> pyjit.DominatedPruner:
-        return pyjit.DominatedPruner(queries, overlay, max_classifier_length)
 
     def greedy_wsc(self, instance: WSCInstance) -> WSCSolution:
         return greedy_wsc(instance)

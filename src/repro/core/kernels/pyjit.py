@@ -40,7 +40,7 @@ from repro.core.kernels.api import (
     FULL_ENUMERATION_MAX_LENGTH,
     MinCoverOutcome,
 )
-from repro.core.mincover import enumerate_covers_local
+from repro.core import mincover  # module import: mincover imports this package
 from repro.core.properties import Classifier, Query
 from repro.exceptions import InvalidInstanceError, SolverError
 from repro.setcover.instance import WSCInstance, WSCSolution
@@ -93,7 +93,9 @@ class DominatedPruner:
     decomposition — the *effective weight* memo.  After a pass, queries
     left with a single irredundant cover get that cover *selected*
     (line 10) and the pass repeats for classifiers intersecting the
-    selections (line 11).
+    selections (line 11).  The removals and selections are written into
+    ``overlay`` when :meth:`run` returns; until then they live in the
+    pruner's mask-keyed memo.
     """
 
     def __init__(
@@ -114,7 +116,9 @@ class DominatedPruner:
         # shorter classifiers (or S itself).
         self._effective: Dict[int, float] = {}
         self.removed: Set[Classifier] = set()
-        self._removed_masks: Set[int] = set()
+        # Insertion-ordered, so ``run`` hands removals over in the order
+        # they were made.
+        self._removed_masks: Dict[int, None] = {}
         self.forced: List[Classifier] = []
         self._universe_cache: Optional[List[int]] = None
 
@@ -211,7 +215,7 @@ class DominatedPruner:
             self._effective[mask] = min(direct, decomposition_cost)
             if math.isfinite(direct) and decomposition_cost <= direct:
                 self._cost.remove(mask)
-                removed_masks.add(mask)
+                removed_masks[mask] = None
                 self.removed.add(self.space.set_of(mask))
                 removed_count += 1
         return removed_count
@@ -269,7 +273,7 @@ class DominatedPruner:
                 local |= 1 << local_of[low.bit_length() - 1]
                 sub ^= low
             usable.append((local, weight))
-        covers, exhausted = enumerate_covers_local(
+        covers, exhausted = mincover.enumerate_covers_local(
             full, usable, limit=2, node_budget=FORCED_COVER_NODE_BUDGET
         )
         if exhausted or len(covers) != 1:
@@ -350,6 +354,12 @@ class DominatedPruner:
                         self._effective.pop(mask, None)
             total_removed += self._pass_remove(touched)
             pending = still_uncovered
+        # Selections first: a selected classifier whose parts were all
+        # zeroed can be removed by a later pass, and removal must win.
+        for clf in self.forced:
+            self.overlay.select(clf)
+        for mask in self._removed_masks:
+            self.overlay.remove(space.set_of(mask))
         return total_removed, self.forced
 
     def _covered_by_selected(self, qmask: int) -> bool:
@@ -652,14 +662,6 @@ class PyJitBackend:
     """The always-available pure-python backend."""
 
     name = "pyjit"
-
-    def make_dominated_pruner(
-        self,
-        queries: Sequence[Query],
-        overlay: OverlayCost,
-        max_classifier_length: Optional[int] = None,
-    ) -> DominatedPruner:
-        return DominatedPruner(queries, overlay, max_classifier_length)
 
     def greedy_wsc(self, instance: WSCInstance) -> WSCSolution:
         return greedy_wsc(instance)

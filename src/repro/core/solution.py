@@ -6,7 +6,7 @@ import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.coverage import verify_cover
-from repro.core.properties import Classifier, canonical_label
+from repro.core.properties import Classifier, canonical_label, classifier_sort_key
 from repro.exceptions import InfeasibleSolutionError
 
 
@@ -30,7 +30,13 @@ class Solution:
     def from_instance(cls, classifiers: Iterable[Classifier], instance) -> "Solution":
         """Build a solution pricing the classifiers with ``instance``."""
         selected = frozenset(classifiers)
-        return cls(selected, instance.total_weight(selected))
+        # Sorted accumulation: float addition is order-sensitive, and two
+        # equal frozensets built in different orders (a cached component
+        # answer and a fresh solve) may iterate differently.
+        return cls(
+            selected,
+            instance.total_weight(sorted(selected, key=classifier_sort_key)),
+        )
 
     def verify(self, instance) -> "Solution":
         """Assert feasibility against the independent coverage checker and

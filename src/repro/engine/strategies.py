@@ -41,12 +41,12 @@ from repro.setcover import (
     DEFAULT_SIZE_LIMIT,
     WSCInstance,
     WSCSolution,
+    best_of_wsc,
     bucket_greedy_wsc,
     derive_seed,
     exact_wsc,
+    f_approx_wsc,
     greedy_wsc,
-    lp_nonzeros,
-    lp_rounding_wsc,
     primal_dual_wsc,
     sampled_greedy_wsc,
 )
@@ -127,11 +127,6 @@ class ApproxWSC(WSCStrategy):
     def params(self) -> Tuple[object, ...]:
         return (self.method, self.lp_size_limit, self.prune)
 
-    def _f_approx(self, wsc: WSCInstance) -> Tuple[WSCSolution, str]:
-        if self.lp_size_limit is not None and lp_nonzeros(wsc) > self.lp_size_limit:
-            return primal_dual_wsc(wsc, prune=self.prune), "primal_dual"
-        return lp_rounding_wsc(wsc, prune=self.prune), "lp"
-
     def cover(
         self, wsc: WSCInstance, component: MC3Instance
     ) -> Tuple[WSCSolution, Dict[str, object]]:
@@ -142,17 +137,14 @@ class ApproxWSC(WSCStrategy):
         elif self.method == "bucket_greedy":
             wsc_solution = bucket_greedy_wsc(wsc)
         elif self.method == "lp":
-            wsc_solution, f_mode = self._f_approx(wsc)
+            wsc_solution, f_mode = f_approx_wsc(wsc, self.lp_size_limit, self.prune)
         elif self.method == "primal_dual":
             wsc_solution = primal_dual_wsc(wsc, prune=self.prune)
             f_mode = "primal_dual"
         else:  # "best_of"
-            greedy_solution = greedy_wsc(wsc)
-            f_solution, f_mode = self._f_approx(wsc)
-            if greedy_solution.cost <= f_solution.cost:
-                wsc_solution, winner = greedy_solution, "greedy"
-            else:
-                wsc_solution, winner = f_solution, "f_approx"
+            wsc_solution, winner, f_mode = best_of_wsc(
+                wsc, self.lp_size_limit, self.prune
+            )
         return wsc_solution, {"winner": winner, "f_mode": f_mode}
 
 

@@ -72,12 +72,15 @@ class IncrementalPlanner:
         Optional bound k' applied to every batch.
     cache:
         Component-solution cache spec (see :mod:`repro.engine.cache`)
-        shared by every batch solve *and* :meth:`replan`.  This is the
-        incremental fast path: a new batch's residual decomposes into
-        components, and every component untouched by the batch (no new
-        query shares properties with it, no built classifier changed its
-        candidate costs) fingerprints identically to last time and is
-        served from the cache instead of re-solved.
+        shared by every batch solve *and* :meth:`replan`.  Each residual
+        component carries only its own prices, so in :meth:`replan`
+        every component untouched since the last replan (no new query
+        shares properties with it) fingerprints identically and is
+        served from the cache instead of re-solved.  A batch's residual
+        is priced by an overlay that makes the whole built set free, and
+        that overlay is part of every batch component's fingerprint:
+        batch solves hit only when the same batch is planned again over
+        the same built set, as in a replayed workload.
     """
 
     def __init__(
@@ -200,12 +203,9 @@ class IncrementalPlanner:
             self._fold_digest(outcome)
             return outcome
 
-        overlay = OverlayCost(self.cost)
-        for clf in self._built:
-            overlay.select(clf)
         residual = MC3Instance(
             fresh,
-            overlay,
+            OverlayCost(self.cost, dict.fromkeys(self._built, 0.0)),
             max_classifier_length=self.max_classifier_length,
             name=f"batch{index}",
         )

@@ -2,7 +2,7 @@
 LP-rounding and primal–dual (both f-approximations), and an exact
 branch-and-bound oracle."""
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.exceptions import SolverError
 from repro.setcover.bucket_greedy import bucket_greedy_wsc
@@ -34,6 +34,35 @@ from repro.setcover.sampled_greedy import (
 from repro.setcover.streaming import streaming_greedy_wsc
 
 
+def f_approx_wsc(
+    instance: WSCInstance,
+    lp_size_limit: Optional[int] = DEFAULT_SIZE_LIMIT,
+    prune: bool = False,
+) -> Tuple[WSCSolution, str]:
+    """An ``f``-approximation and its mode: LP rounding (``"lp"``) while
+    the constraint matrix has at most ``lp_size_limit`` nonzeros
+    (``None``: no cap), primal–dual (``"primal_dual"``) beyond.
+    ``prune`` applies the redundancy post-pass."""
+    if lp_size_limit is not None and lp_nonzeros(instance) > lp_size_limit:
+        return primal_dual_wsc(instance, prune=prune), "primal_dual"
+    return lp_rounding_wsc(instance, prune=prune), "lp"
+
+
+def best_of_wsc(
+    instance: WSCInstance,
+    lp_size_limit: Optional[int] = DEFAULT_SIZE_LIMIT,
+    prune: bool = False,
+) -> Tuple[WSCSolution, str, str]:
+    """Algorithm 3 lines 3–5: greedy and :func:`f_approx_wsc`, keep the
+    cheaper, greedy on ties.  Returns ``(solution, winner, f_mode)``
+    with ``winner`` ``"greedy"`` or ``"f_approx"``."""
+    greedy_solution = greedy_wsc(instance)
+    f_solution, f_mode = f_approx_wsc(instance, lp_size_limit, prune)
+    if greedy_solution.cost <= f_solution.cost:
+        return greedy_solution, "greedy", f_mode
+    return f_solution, "f_approx", f_mode
+
+
 def solve_wsc(
     instance: WSCInstance,
     method: str = "best_of",
@@ -54,9 +83,10 @@ def solve_wsc(
     ``primal_dual``
         Primal–dual, ``f`` guarantee, no LP solve.
     ``best_of``
-        Algorithm 3's inner strategy: run greedy and an ``f``-approximation
-        (LP rounding when the constraint matrix fits in ``lp_size_limit``
-        nonzeros, primal–dual otherwise) and keep the cheaper output.
+        Algorithm 3's inner strategy (:func:`best_of_wsc`): run greedy
+        and an ``f``-approximation (LP rounding when the constraint
+        matrix fits in ``lp_size_limit`` nonzeros, primal–dual
+        otherwise) and keep the cheaper output.
     ``exact``
         Combinatorial branch-and-bound optimum (small instances only).
     ``exact_lp``
@@ -88,12 +118,7 @@ def solve_wsc(
     if method == "exact_lp":
         return exact_wsc_lp(instance)
     if method == "best_of":
-        greedy_solution = greedy_wsc(instance)
-        if lp_size_limit is not None and lp_nonzeros(instance) > lp_size_limit:
-            f_solution = primal_dual_wsc(instance, prune=prune)
-        else:
-            f_solution = lp_rounding_wsc(instance, prune=prune)
-        return greedy_solution if greedy_solution.cost <= f_solution.cost else f_solution
+        return best_of_wsc(instance, lp_size_limit, prune)[0]
     raise SolverError(f"unknown WSC method {method!r}")
 
 
@@ -104,6 +129,7 @@ __all__ = [
     "DEFAULT_SIZE_LIMIT",
     "WSCInstance",
     "WSCSolution",
+    "best_of_wsc",
     "bucket_greedy_wsc",
     "derive_seed",
     "sampled_greedy_wsc",
@@ -111,6 +137,7 @@ __all__ = [
     "exact_multicover",
     "exact_wsc",
     "exact_wsc_lp",
+    "f_approx_wsc",
     "greedy_multicover",
     "greedy_wsc",
     "lagrangian_lower_bound",

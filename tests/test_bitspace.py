@@ -113,8 +113,8 @@ class TestMaskPrimitives:
         assert local == [0b01, 0b11]  # non-submasks dropped
 
 
-class TestMaskCostOverlayWriteThrough:
-    def test_select_and_remove_reach_the_overlay(self):
+class TestMaskCostDecisions:
+    def test_select_and_remove_stay_in_the_memo(self):
         instance = MC3Instance(
             ["a b"], TableCost({frozenset("a"): 1, frozenset("b"): 2,
                                 frozenset("ab"): 4})
@@ -125,12 +125,27 @@ class TestMaskCostOverlayWriteThrough:
         a = space.mask_of(frozenset("a"))
         assert cost.cost(a) == 1
         cost.select(a)
-        assert overlay.cost(frozenset("a")) == 0.0
         assert cost.cost(a) == 0.0
         b = space.mask_of(frozenset("b"))
         cost.remove(b)
-        assert overlay.is_removed(frozenset("b"))
         assert math.isinf(cost.cost(b))
+        # The base model is read, never written.
+        assert overlay.overrides == {}
+        assert overlay.cost(frozenset("a")) == 1
+
+    def test_pruner_hands_its_decisions_to_the_overlay(self):
+        """The pruner keeps decisions in its memo while it runs and
+        writes them into its overlay when ``run`` returns."""
+        overlay = OverlayCost(TableCost({"x": 1, "y": 1, "x y": 3, "z w": 5}))
+        queries = [frozenset("xy"), frozenset("zw")]
+        pruner = DominatedPruner(queries, overlay)
+        pruner.run(queries)
+        assert overlay.overrides == {
+            frozenset("xy"): math.inf,  # x + y = 2 < 3
+            frozenset("x"): 0.0,  # with XY gone, {X, Y} is the only cover
+            frozenset("y"): 0.0,
+            frozenset("zw"): 0.0,  # the only cover of its query
+        }
 
 
 def _candidates(instance, q):

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import MC3Instance, TableCost
 from repro.core.bitspace import PRIMARY_RUNG, component_fingerprint
-from repro.core.costs import CallableCost, OverlayCost, UniformCost
+from repro.core.costs import CallableCost, HashCost, OverlayCost, UniformCost
 from repro.devtools.chaos import ChaosInjector
 from repro.engine import ResiliencePolicy
 from repro.engine.cache import (
@@ -140,6 +140,27 @@ class TestFingerprint:
         assert priced.cost_content_token() is not None
         assert opaque.cost_content_token() is None
         assert fingerprint(priced) != fingerprint(opaque)
+
+    def test_component_hits_across_instances_that_differ_elsewhere(self):
+        """A residual component's fingerprint digests its own queries and
+        prices only: the shared block is served warm even though the
+        other block, property-disjoint from it, is pruned differently."""
+
+        def block(tag):
+            p = [f"{tag}{i}" for i in range(5)]
+            return [" ".join(p[i:i + 3]) for i in range(3)] + [f"{p[0]} {p[4]} {p[2]}"]
+
+        cost = HashCost(seed=7)
+        store = MemorySolutionCache()
+        first = make_solver("mc3-general", cache=store).solve(
+            MC3Instance(block("a") + block("b"), cost)
+        )
+        second_instance = MC3Instance(block("a") + block("c"), cost)
+        second = make_solver("mc3-general", cache=store).solve(second_instance)
+        assert first.details["engine"]["cache"]["hits"] == 0
+        assert second.details["engine"]["cache"]["hits"] == 1
+        uncached = make_solver("mc3-general").solve(second_instance)
+        assert outcome_of(second) == outcome_of(uncached)
 
     @given(mc3_instances(max_queries=4))
     @settings(max_examples=20, deadline=None)

@@ -88,7 +88,6 @@ class TestRegistry:
         info = describe(get_backend("pyjit"))
         assert info["name"] == "pyjit"
         assert info["kernels"] == [
-            "dominated_pruning",
             "greedy_wsc",
             "bucket_greedy_wsc",
             "min_cover_dp",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -39,6 +40,19 @@ class TestSolution:
     def test_from_instance_prices(self, instance):
         solution = Solution.from_instance([frozenset("ab"), frozenset("c")], instance)
         assert solution.cost == 3.5
+
+    def test_cost_does_not_depend_on_how_the_set_was_built(self):
+        """Equal classifier sets built in different orders may iterate
+        differently; the float sum must not follow that order."""
+        rng = random.Random(5)
+        clfs = [frozenset((f"p{i}", f"q{i % 7}")) for i in range(2000)]
+        table = {clf: rng.uniform(0, 1e6) for clf in clfs}
+        instance = MC3Instance(clfs, TableCost(table))
+        costs = set()
+        for _ in range(20):
+            rng.shuffle(clfs)
+            costs.add(Solution.from_instance(set(clfs), instance).cost)
+        assert len(costs) == 1
 
     def test_verify_passes(self, instance):
         Solution.from_instance([frozenset("ab"), frozenset("c")], instance).verify(
